@@ -83,8 +83,6 @@ def _optimizer_config(args, cli_cfg: CliConfig) -> forms.OptimizerConfig:
         seed=seed if seed is not None else cli_cfg.seed,
         max_iterations=int(tol.get("max_iterations", 200)),
         phase_tolerance=float(tol.get("phase_tolerance", 1e-10)),
-        scan_points=int(tol.get("scan_points", 32)),
-        line_tolerance=float(tol.get("line_tolerance", 1e-10)),
     )
 
 

@@ -20,6 +20,7 @@ from .linalg import (
     as_matrix,
     largest_singular_value,
     norm_entrywise_l1,
+    pow2_normalize,
     require_square,
 )
 
@@ -45,8 +46,7 @@ __all__ = [
 # Published upper bound for the complex Grothendieck constant: 1 < k_G <= 1.4049.
 K_G_UPPER = 1.4049
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
+_TINY = np.finfo(float).tiny   # smallest normal float
 
 @dataclass
 class PolydiscTuple:
@@ -104,7 +104,7 @@ class VectorTuple:
     def from_rows(cls, rows) -> "VectorTuple":
         rows = np.asarray(rows, dtype=complex)
         scales = np.linalg.norm(rows, axis=1)
-        units = np.where(scales[:, None] > 0, rows / np.maximum(scales, 1e-300)[:, None], 0)
+        units = np.where(scales[:, None] > 0, rows / np.where(scales > 0, scales, 1.0)[:, None], 0)
         # unit rows for zero vectors are irrelevant; pin them to e_0
         for i in range(rows.shape[0]):
             if scales[i] == 0:
@@ -152,23 +152,27 @@ class OptimizerConfig:
     """Multistart configuration shared by the polydisc and vector optimizers."""
     starts: int = 64
     seed: int = 0
-    max_iterations: int = 200       # sweep / alternation cap
-    phase_tolerance: float = 1e-10  # stop when a full sweep improves less than this
-    scan_points: int = 32           # coarse scan resolution per coordinate
-    line_tolerance: float = 1e-10   # golden-section interval width target
+    max_iterations: int = 200       # alternation cap (g_lower: d times this many rounds)
+    phase_tolerance: float = 1e-10  # converged once a round improves less than this,
+                                    # relative to the power of two above max |theta_ij|
 
     def __post_init__(self):
         if self.starts < 1:
             raise InputValidationError("starts must be >= 1")
         if self.seed < 0:
             raise InputValidationError("seed must be a non-negative integer")
-        if self.phase_tolerance <= 0 or self.line_tolerance <= 0:
+        if self.phase_tolerance <= 0:
             raise InputValidationError("tolerances must be positive")
 
 
 @dataclass
 class OptimizerRun:
-    """Result of a multistart maximization, reproducible bit-for-bit from its config."""
+    """Result of a multistart maximization, reproducible bit-for-bit from its config.
+
+    ``iterations_used``: rounds per start until it stopped improving by more
+    than 1e-3 * phase_tolerance.  ``stop_reason``: "tolerance", "budget" (the
+    round cap cut the run) or "zero_matrix".
+    """
     starts: int
     seed: int
     max_iterations: int
@@ -177,6 +181,8 @@ class OptimizerRun:
     best_witness: tuple
     converged_fraction: float
     per_start_values: list = field(default_factory=list)
+    iterations_used: list = field(default_factory=list)
+    stop_reason: str = "tolerance"
 
     def to_dict(self) -> dict:
         s, t = self.best_witness
@@ -197,6 +203,8 @@ class OptimizerRun:
             "phase_tolerance": self.phase_tolerance,
             "best_value": self.best_value,
             "converged_fraction": self.converged_fraction,
+            "iterations_used": self.iterations_used,
+            "stop_reason": self.stop_reason,
             "witness": witness,
         }
 
@@ -209,93 +217,93 @@ def _initial_phases(config: OptimizerConfig, d: int) -> np.ndarray:
     return t
 
 
+def _zero_matrix_run(cfg: OptimizerConfig, witness: tuple) -> OptimizerRun:
+    return OptimizerRun(cfg.starts, cfg.seed, cfg.max_iterations, cfg.phase_tolerance, 0.0,
+                        witness, 1.0, [0.0] * cfg.starts, [0] * cfg.starts, "zero_matrix")
+
+
+def _conj_phase(z: np.ndarray, fallback) -> np.ndarray:
+    """conj(z) / |z| entrywise, taking ``fallback`` where |z| = 0."""
+    mod = np.abs(z)
+    if mod.min() >= _TINY:
+        return z.conj() / mod
+    # complex division by a subnormal modulus overflows; the angle does not
+    return np.where(mod > 0, np.exp(-1j * np.angle(z)), fallback)
+
+
 def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
     """Lower-bound the polydisc supremum g(theta) by explicit torus witnesses.
 
-    For fixed t the optimal s has unit modulus and phase conjugate to
-    (theta t)_i, which collapses the objective to F(t) = sum_i |(theta t)_i|
-    over the torus |t_j| = 1.  Each t-phase is improved by a coarse scan plus
-    golden-section refinement; sweeps repeat until the improvement drops below
-    ``phase_tolerance``.  All starts run in lockstep, so the result is a
-    deterministic function of (matrix, config).
+    For fixed t the optimal s is s_i = conj phase((theta t)_i), and for fixed
+    s the optimal t is t_j = conj phase((theta^T s)_j); alternating the two
+    closed-form half-steps never decreases F(t) = sum_i |(theta t)_i|.  Each
+    seeded start runs as four rows (its phases and their conjugates, each
+    taken once as t and once as s), and all rows alternate together on theta
+    scaled by ``pow2_normalize`` until none improves by more than
+    1e-3 * ``phase_tolerance`` or d * ``max_iterations`` rounds have run.
+    The result is a deterministic function of (matrix, config).
     """
     cfg = config or OptimizerConfig()
     a = require_square(theta)
     d = a.shape[0]
-
+    n = cfg.starts
     if not np.any(a):
-        ones = np.ones(d, dtype=complex)
-        witness = (PolydiscTuple(ones).validate(), PolydiscTuple(ones).validate())
-        return OptimizerRun(cfg.starts, cfg.seed, cfg.max_iterations,
-                            cfg.phase_tolerance, 0.0, witness, 1.0,
-                            [0.0] * cfg.starts)
+        ones = PolydiscTuple(np.ones(d)).validate()
+        return _zero_matrix_run(cfg, (ones, ones))
 
-    t = _initial_phases(cfg, d)
-    r = t @ a.T                       # rows: (theta t) per start
+    b, unit = pow2_normalize(a)
+    seeded = _initial_phases(cfg, d)
+    phases = np.vstack([seeded, seeded.conj()])
+    # row blocks of n: phases as t, then as s (t = conj phase(theta^T s))
+    t = np.vstack([phases, _conj_phase(phases @ b, phases)])
+    r = t @ b.T                       # rows: (theta t) / unit per row
     f = np.abs(r).sum(axis=1)
-    grid = np.linspace(-np.pi, np.pi, cfg.scan_points, endpoint=False)
-    sweeps = 0
-    improvement = np.full(cfg.starts, np.inf)
-    while sweeps < cfg.max_iterations:
-        f_old = f.copy()
-        for j in range(d):
-            col = a[:, j]
-            base = r - t[:, j][:, None] * col[None, :]
-
-            def value_at(psi):
-                return np.abs(base + np.exp(1j * psi)[:, None] * col[None, :]).sum(axis=1)
-
-            coarse = np.abs(base[:, None, :]
-                            + np.exp(1j * grid)[None, :, None] * col[None, None, :]
-                            ).sum(axis=2)                     # (starts, scan)
-            k = coarse.argmax(axis=1)
-            h = 2.0 * np.pi / cfg.scan_points
-            lo = grid[k] - h
-            hi = grid[k] + h
-            x1 = hi - _GOLDEN * (hi - lo)
-            x2 = lo + _GOLDEN * (hi - lo)
-            f1 = value_at(x1)
-            f2 = value_at(x2)
-            while np.max(hi - lo) > cfg.line_tolerance:
-                move_lo = f1 < f2
-                lo = np.where(move_lo, x1, lo)
-                hi = np.where(move_lo, hi, x2)
-                x1 = hi - _GOLDEN * (hi - lo)
-                x2 = lo + _GOLDEN * (hi - lo)
-                f1 = value_at(x1)
-                f2 = value_at(x2)
-            psi = (lo + hi) / 2.0
-            cand = value_at(psi)
-            keep = cand >= f
-            t_j = np.where(keep, np.exp(1j * psi), t[:, j])
-            t[:, j] = t_j
-            r = base + t_j[:, None] * col[None, :]
-            f = np.abs(r).sum(axis=1)
-        sweeps += 1
-        improvement = f - f_old
-        if improvement.max() < cfg.phase_tolerance:
+    threshold = 1e-3 * cfg.phase_tolerance
+    improvement = np.full(4 * n, np.inf)
+    last_gain = np.zeros(4 * n, dtype=int)
+    rounds = 0
+    while rounds < d * cfg.max_iterations:
+        t = _conj_phase(_conj_phase(r, 1.0) @ b, t)
+        r = t @ b.T
+        f_new = np.abs(r).sum(axis=1)
+        improvement, f = f_new - f, f_new
+        rounds += 1
+        last_gain[improvement > threshold] = rounds
+        if improvement.max() <= threshold:
             break
 
-    best = int(f.argmax())            # deterministic tie-break on start index
+    used = np.minimum(last_gain + 1, rounds).reshape(4, n)
+    best = int(f.argmax())            # deterministic tie-break on row index
     t_best = t[best]
-    r_best = a @ t_best
-    mod = np.abs(r_best)
-    s_best = np.where(mod > 0, np.conj(r_best) / np.maximum(mod, 1e-300), 1.0)
+    r_best = b @ t_best
+    s_best = _conj_phase(r_best, 1.0)
     witness = (PolydiscTuple(s_best).validate(), PolydiscTuple(t_best).validate())
+    converged = (improvement < cfg.phase_tolerance).reshape(4, n).all(axis=0)
     return OptimizerRun(
         starts=cfg.starts,
         seed=cfg.seed,
         max_iterations=cfg.max_iterations,
         phase_tolerance=cfg.phase_tolerance,
-        best_value=float(mod.sum()),
+        best_value=unit * float(np.abs(r_best).sum()),
         best_witness=witness,
-        converged_fraction=float((improvement < cfg.phase_tolerance).mean()),
-        per_start_values=[float(x) for x in f],
+        converged_fraction=float(converged.mean()),
+        per_start_values=[unit * float(x) for x in f.reshape(4, n).max(axis=0)],
+        iterations_used=[int(k) for k in used.max(axis=0)],
+        stop_reason="tolerance" if improvement.max() <= threshold else "budget",
     )
 
 
-def _q_value(theta, x_rows, y_rows) -> float:
-    return float(abs(np.einsum("ij,ik,jk->", theta, x_rows.conj(), y_rows)))
+def _q_values(theta, x, y) -> np.ndarray:
+    """|sum_ij theta_ij <x_i, y_j>| for each start of the (starts, d, d) blocks."""
+    return np.abs(np.einsum("ij,nik,njk->n", theta, x.conj(), y))
+
+
+def _unit_rows(z: np.ndarray, previous: np.ndarray, active: np.ndarray):
+    """Rows of z scaled to unit norm, and the norms; previous rows where a row
+    is zero or its start is not active."""
+    norms = np.linalg.norm(z, axis=2)
+    keep = active[:, None] & (norms > 0)
+    return np.where(keep[..., None], z / np.where(keep, norms, 1.0)[..., None], previous), norms
 
 
 def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
@@ -304,72 +312,63 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
     With the x-vectors fixed, each optimal y_j is the normalized vector
     sum_i conj(theta_ij) x_i, and symmetrically; both half-steps are monotone.
     One extra start embeds the scalar witness of ``g_lower`` (same config) as
-    parallel vectors, so the result never falls below that scalar bound.
+    parallel vectors, so the result never falls below that scalar bound.  All
+    starts alternate as one (starts + 1, d, d) block on theta scaled as in
+    ``g_lower``; each stops once its value changes by less than
+    1e-3 * ``phase_tolerance``.
     """
     cfg = config or OptimizerConfig()
     a = require_square(theta)
     d = a.shape[0]
-
     scalar = g_lower(a, cfg)
     if not np.any(a):
-        w = (VectorTuple.from_rows(np.zeros((d, d))), VectorTuple.from_rows(np.zeros((d, d))))
-        return OptimizerRun(cfg.starts, cfg.seed, cfg.max_iterations,
-                            cfg.phase_tolerance, 0.0, w, 1.0, [0.0] * cfg.starts)
+        zero = VectorTuple.from_rows(np.zeros((d, d)))
+        return _zero_matrix_run(cfg, (zero, zero))
 
+    n = cfg.starts + 1
+    x = np.zeros((n, d, d), dtype=complex)
+    y = np.zeros((n, d, d), dtype=complex)
     s_w, t_w = scalar.best_witness
-    e0 = np.zeros(d, dtype=complex)
-    e0[0] = 1.0
-    embeds = [(np.outer(np.conj(s_w.values), e0), np.outer(t_w.values, e0))]
+    x[0, :, 0] = np.conj(s_w.values)
+    y[0, :, 0] = t_w.values
+    for k in range(cfg.starts):
+        rng = np.random.default_rng(cfg.seed ^ k)
+        x[k + 1] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        y[k + 1] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    x[1:] /= np.linalg.norm(x[1:], axis=2)[..., None]
+    y[1:] /= np.linalg.norm(y[1:], axis=2)[..., None]
 
-    per_start = []
-    converged = 0
-    best_val = -np.inf
-    best_pair = None
-    n_starts = cfg.starts + len(embeds)
-    for idx in range(n_starts):
-        if idx < len(embeds):
-            x, y = embeds[idx]
-            x = x.copy()
-            y = y.copy()
-        else:
-            rng = np.random.default_rng(cfg.seed ^ (idx - len(embeds)))
-            x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            x /= np.linalg.norm(x, axis=1)[:, None]
-            y /= np.linalg.norm(y, axis=1)[:, None]
-        q_prev = _q_value(a, x, y)
-        ok = False
-        for _ in range(cfg.max_iterations):
-            c = a.conj().T @ x
-            n = np.linalg.norm(c, axis=1)
-            y = np.where(n[:, None] > 0, c / np.maximum(n, 1e-300)[:, None], y)
-            b = a @ y
-            n2 = np.linalg.norm(b, axis=1)
-            x = np.where(n2[:, None] > 0, b / np.maximum(n2, 1e-300)[:, None], x)
-            q = float(n2.sum())
-            if abs(q - q_prev) < cfg.phase_tolerance * 1e-3:
-                ok = True
-                q_prev = q
-                break
-            q_prev = q
-        q_final = _q_value(a, x, y)
-        per_start.append(q_final)
-        converged += ok
-        if q_final > best_val:
-            best_val = q_final
-            best_pair = (x.copy(), y.copy())
+    b, unit = pow2_normalize(a)
+    b_h = b.conj().T
+    q_prev = _q_values(b, x, y)
+    active = np.ones(n, dtype=bool)
+    used = np.zeros(n, dtype=int)
+    for rounds in range(1, cfg.max_iterations + 1):
+        y, _ = _unit_rows(b_h @ x, y, active)
+        x, norms = _unit_rows(b @ y, x, active)
+        q = norms.sum(axis=1)
+        used[active] = rounds
+        settled = active & (np.abs(q - q_prev) < cfg.phase_tolerance * 1e-3)
+        q_prev = np.where(active, q, q_prev)
+        active &= ~settled
+        if not active.any():
+            break
 
-    x, y = best_pair
-    witness = (VectorTuple.from_rows(x).validate(), VectorTuple.from_rows(y).validate())
+    q_final = unit * _q_values(b, x, y)
+    best = int(q_final.argmax())
+    witness = (VectorTuple.from_rows(x[best]).validate(),
+               VectorTuple.from_rows(y[best]).validate())
     return OptimizerRun(
         starts=cfg.starts,
         seed=cfg.seed,
         max_iterations=cfg.max_iterations,
         phase_tolerance=cfg.phase_tolerance,
-        best_value=best_val,
+        best_value=float(q_final[best]),
         best_witness=witness,
-        converged_fraction=converged / n_starts,
-        per_start_values=per_start,
+        converged_fraction=float((~active).mean()),
+        per_start_values=[float(v) for v in q_final],
+        iterations_used=[int(k) for k in used],
+        stop_reason="budget" if active.any() else "tolerance",
     )
 
 

@@ -283,8 +283,7 @@ def test_criterion_08_oracle_equivalence():
 
 def test_criterion_09_bound_chain_5000():
     rng = np.random.default_rng(900)
-    cfg = OptimizerConfig(starts=2, seed=9, max_iterations=4,
-                          scan_points=16, line_tolerance=1e-8)
+    cfg = OptimizerConfig(starts=2, seed=9, max_iterations=4)
     worst_gap = -np.inf
     worst_reeval = 0.0
     for _ in range(5000):

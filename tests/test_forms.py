@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,30 @@ def test_g_lower_deterministic():
     assert r1.best_value == r2.best_value
     assert r1.per_start_values == r2.per_start_values
     assert np.array_equal(r1.best_witness[1].values, r2.best_witness[1].values)
+
+
+def test_optimizer_runs_report_rounds_and_stop_reason():
+    theta = complex_gaussian(np.random.default_rng(18), 5)
+    cfg = OptimizerConfig(starts=6, seed=4)
+    for optimizer, n_starts in ((g_lower, 6), (max_q_lower, 7)):
+        run = optimizer(theta, cfg)
+        assert run.stop_reason == "tolerance"
+        assert len(run.iterations_used) == n_starts
+        assert all(1 <= k <= 5 * cfg.max_iterations for k in run.iterations_used)
+        assert run.iterations_used == optimizer(theta, cfg).iterations_used
+        doc = json.loads(json.dumps(run.to_dict()))
+        assert doc["stop_reason"] == "tolerance"
+        assert doc["iterations_used"] == run.iterations_used
+    tight = OptimizerConfig(starts=6, seed=4, max_iterations=1, phase_tolerance=1e-300)
+    run = g_lower(theta, tight)
+    assert run.stop_reason == "budget" and max(run.iterations_used) == 5
+    assert run.converged_fraction < 1.0
+    run = max_q_lower(theta, tight)
+    assert run.stop_reason == "budget" and run.iterations_used == [1] * 7
+    for optimizer in (g_lower, max_q_lower):
+        run = optimizer(np.zeros((3, 3)), cfg)
+        assert run.stop_reason == "zero_matrix"
+        assert run.iterations_used == [0] * 6
 
 
 def test_g_lower_bound_chain_sample():
