@@ -8,7 +8,6 @@ sampling study of how rare trace-form values above 1 are.
 """
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,7 +117,6 @@ def _membership(lam: float, d_big: int, witness_value: float):
 
 
 def _run_projector_experiment(name: str, d: int, lam: float) -> ExperimentRecord:
-    t0 = time.perf_counter()
     dim_big = d * (d - 1)
     _, witness_value = torus_witness(d)
     lam_max = 0.2 if d == 3 else 1.0 / witness_value
@@ -153,7 +151,6 @@ def _run_projector_experiment(name: str, d: int, lam: float) -> ExperimentRecord
             "lambda_certified_outside_G_beyond": 1.0 / witness_value,
             "g_witness_value": witness_value,
             "g_certified_upper": float(dim_big),
-            "runtime_s": time.perf_counter() - t0,
         },
     )
 
@@ -310,7 +307,6 @@ def run_bounded_demo(d: int, samples: int, seed: int) -> ExperimentRecord:
         raise InputValidationError(f"dimension must be >= 2, got {d}")
     if samples < 1:
         raise InputValidationError(f"samples must be >= 1, got {samples}")
-    t0 = time.perf_counter()
     max_trace = 0.0
     rrr_min = math.inf
     tighter_always = True
@@ -348,7 +344,6 @@ def run_bounded_demo(d: int, samples: int, seed: int) -> ExperimentRecord:
             "generic_bound_min": rrr_min,
             "unit_bound_tighter_always": tighter_always,
             "weyl_max": weyl_max,
-            "runtime_s": time.perf_counter() - t0,
         },
     )
 

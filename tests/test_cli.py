@@ -135,6 +135,23 @@ def test_experiment_h6_out_of_range_exit_2(capsys):
     assert code == 2
 
 
+def test_experiment_bounded_stdout_byte_identical():
+    argv = [sys.executable, "-m", "grothq.cli", "experiment", "bounded",
+            "--dim", "3", "--samples", "20", "--seed", "1"]
+    first = subprocess.run(argv, capture_output=True)
+    second = subprocess.run(argv, capture_output=True)
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout
+
+
+@pytest.mark.parametrize("kind, lam", [("h6", "0.2"), ("h12", "0.05")])
+def test_experiment_stdout_carries_no_timing(capsys, kind, lam):
+    argv = ["experiment", kind, "--lambda", lam]
+    outs = [run_cli(capsys, argv) for _ in range(2)]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    assert "runtime_s" not in json.loads(outs[0][1])["diagnostics"]
+
+
 def test_experiment_rarity_writes_jsonl(tmp_path, capsys):
     out_path = tmp_path / "records.jsonl"
     code, out = run_cli(capsys, [
@@ -177,6 +194,16 @@ def test_config_seed_and_starts(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["optimizer"] == {"starts": 3, "seed": 9}
     assert doc["in_G"] == "certified_yes"
+
+
+def test_config_ignores_retired_line_search_keys(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"tolerances": {"scan_points": 32, "line_tolerance": 1e-10, "phase_tolerance": 1e-10}}))
+    path = write_matrix(tmp_path, "m.json", np.eye(2) * 0.4)
+    code, out = run_cli(capsys, ["--config", str(cfg), "classify", "--matrix", path])
+    assert code == 0
+    assert json.loads(out)["g_lower"] == pytest.approx(0.8, abs=1e-12)
 
 
 def test_config_rejects_bad_tolerance(tmp_path, capsys):
