@@ -48,6 +48,7 @@ K_G_UPPER = 1.4049
 
 _TINY = np.finfo(float).tiny   # smallest normal float
 
+
 @dataclass
 class PolydiscTuple:
     """A d-tuple of complex scalars under a polydisc or ball constraint."""
@@ -299,8 +300,7 @@ def _q_values(theta, x, y) -> np.ndarray:
 
 
 def _unit_rows(z: np.ndarray, previous: np.ndarray, active: np.ndarray):
-    """Rows of z scaled to unit norm, and the norms; previous rows where a row
-    is zero or its start is not active."""
+    """Unit rows of z and the row norms; previous rows where zero or not active."""
     norms = np.linalg.norm(z, axis=2)
     keep = active[:, None] & (norms > 0)
     return np.where(keep[..., None], z / np.where(keep, norms, 1.0)[..., None], previous), norms
@@ -326,8 +326,7 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
         return _zero_matrix_run(cfg, (zero, zero))
 
     n = cfg.starts + 1
-    x = np.zeros((n, d, d), dtype=complex)
-    y = np.zeros((n, d, d), dtype=complex)
+    x, y = np.zeros((2, n, d, d), dtype=complex)
     s_w, t_w = scalar.best_witness
     x[0, :, 0] = np.conj(s_w.values)
     y[0, :, 0] = t_w.values

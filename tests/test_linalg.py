@@ -119,6 +119,16 @@ def test_smax_dominates_random_unit_vectors():
         assert ratios.max() >= smax * 0.9
 
 
+def test_smax_near_tied_singular_values():
+    # sigma = 0.0625 +- 1e-8: plain power iteration on M^dagger M stalls here
+    m = np.array([[1e-8, 0.0625], [0.0625, 1e-8]])
+    assert largest_singular_value(m) == pytest.approx(0.0625 + 1e-8, rel=1e-12)
+
+
+def test_smax_tiny_matrix_does_not_underflow():
+    assert largest_singular_value(np.full((2, 2), 1e-160)) == pytest.approx(2e-160, rel=1e-12)
+
+
 def test_smax_convergence_error_carries_iterate():
     m = complex_gaussian(np.random.default_rng(5), 4)
     with pytest.raises(ConvergenceError) as err:
