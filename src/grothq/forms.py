@@ -9,8 +9,7 @@ trace form |Tr(theta V W^dagger)|, whose supremum can exceed g(theta) but
 never 1.4049 * g(theta).
 """
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -242,7 +241,9 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
     taken once as t and once as s), and all rows alternate together on theta
     scaled by ``pow2_normalize`` until none improves by more than
     1e-3 * ``phase_tolerance`` or d * ``max_iterations`` rounds have run.
-    The result is a deterministic function of (matrix, config).
+    When the phases of theta split as chi_i + psi_j (``phase_system_solvable``),
+    t = exp(-i psi) attains ||theta||_1 and is the witness unless a row beats
+    it.  The result is a deterministic function of (matrix, config).
     """
     cfg = config or OptimizerConfig()
     a = require_square(theta)
@@ -274,8 +275,13 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
             break
 
     used = np.minimum(last_gain + 1, rounds).reshape(4, n)
-    best = int(f.argmax())            # deterministic tie-break on row index
-    t_best = t[best]
+    t_best = t[int(f.argmax())]       # deterministic tie-break on row index
+    split = phase_system_solvable(b)
+    if split.solvable:
+        # the forest phases attain ||theta||_1; weakly coupled rows converge slowly
+        t_split = np.exp(-1j * np.asarray(split.psi))
+        if np.abs(b @ t_split).sum() > np.abs(b @ t_best).sum():
+            t_best = t_split
     r_best = b @ t_best
     s_best = _conj_phase(r_best, 1.0)
     witness = (PolydiscTuple(s_best).validate(), PolydiscTuple(t_best).validate())
@@ -373,7 +379,14 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
 
 @dataclass
 class PhaseSystemReport:
-    """Rank data for the linear phase system phi_ij = chi_i + psi_j."""
+    """Verdict and witness for phi_ij = chi_i + psi_j (mod 2 pi) on the support.
+
+    ``rank_coefficient``: rank of the 0/1 coefficient matrix, the non-isolated
+    vertices minus the components of the support graph; ``rank_augmented`` is
+    one more when unsolvable.  ``chi``/``psi``: spanning-forest values, set when
+    solvable.  ``used_shift_enumeration``: solvable only because a nonzero
+    multiple of 2 pi closes some cycle (the principal arguments are inconsistent).
+    """
     solvable: bool
     n_equations: int
     rank_coefficient: int
@@ -383,70 +396,49 @@ class PhaseSystemReport:
     used_shift_enumeration: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "solvable": self.solvable,
-            "n_equations": self.n_equations,
-            "rank_coefficient": self.rank_coefficient,
-            "rank_augmented": self.rank_augmented,
-            "chi": self.chi,
-            "psi": self.psi,
-            "used_shift_enumeration": self.used_shift_enumeration,
-        }
+        return asdict(self)
 
 
-def phase_system_solvable(theta, rank_tol: float = 1e-10,
-                          shift_budget: int = 12) -> PhaseSystemReport:
-    """Decide solvability of phi_ij = chi_i + psi_j over the nonzero entries.
+def phase_system_solvable(theta, tol: float = 1e-9) -> PhaseSystemReport:
+    """Decide phi_ij = chi_i + psi_j (mod 2 pi) over the nonzero entries, in O(d + nnz).
 
-    Solvable (by rank comparison of the coefficient and augmented matrices)
-    implies the polydisc supremum reaches ||theta||_1, and the solved phases
-    are returned as a witness.  Principal arguments in (-pi, pi] are used; for
-    systems of at most ``shift_budget`` equations that fail at face value,
-    every +-2*pi shift of the right-hand side is enumerated before the system
-    is declared unsolvable.
+    On the support graph (vertices: rows i and columns d + j; edges: nonzero
+    entries) a BFS spanning forest sets each root to 0 and each child to
+    arg theta_ij - value(parent), with principal arguments in (-pi, pi].  The
+    system is solvable iff every edge then closes modulo 2 pi within ``tol``
+    radians; then g(theta) = ||theta||_1, with the forest values as witness.
     """
     a = require_square(theta)
     d = a.shape[0]
-    nz = [(i, j) for i in range(d) for j in range(d) if a[i, j] != 0]
-    n = len(nz)
-    if n == 0:
-        return PhaseSystemReport(True, 0, 0, 0, chi=[0.0] * d, psi=[0.0] * d)
+    rows, cols = np.nonzero(a)
+    phi = np.angle(a[rows, cols])
+    adj = [[] for _ in range(2 * d)]
+    for i, j, p in zip(rows.tolist(), (cols + d).tolist(), phi.tolist()):
+        adj[i].append((j, p))
+        adj[j].append((i, p))
 
-    coeff = np.zeros((n, 2 * d))
-    rhs = np.zeros(n)
-    for r, (i, j) in enumerate(nz):
-        coeff[r, i] = 1.0
-        coeff[r, d + j] = 1.0
-        rhs[r] = np.angle(a[i, j])
+    value = [None] * (2 * d)
+    components = 0
+    for root in range(2 * d):
+        if value[root] is not None or not adj[root]:
+            continue
+        components += 1
+        value[root] = 0.0
+        queue = [root]
+        for u in queue:               # the queue grows while it is walked
+            for v, p in adj[u]:
+                if value[v] is None:
+                    value[v] = p - value[u]
+                    queue.append(v)
 
-    u, sing, _ = np.linalg.svd(coeff)
-    rank_a = int((sing > rank_tol * sing[0]).sum())
-    null_left = u[:, rank_a:]                       # orthonormal, N x (n - rank_a)
-
-    def augmented_rank(c):
-        s2 = np.linalg.svd(np.hstack([coeff, c[:, None]]), compute_uv=False)
-        return int((s2 > rank_tol * s2[0]).sum())
-
-    def solution(c):
-        sol, *_ = np.linalg.lstsq(coeff, c, rcond=None)
-        return list(map(float, sol[:d])), list(map(float, sol[d:]))
-
-    rank_d = augmented_rank(rhs)
-    if rank_d == rank_a:
-        chi, psi = solution(rhs)
-        return PhaseSystemReport(True, n, rank_a, rank_d, chi=chi, psi=psi)
-
-    if n <= shift_budget and null_left.shape[1] > 0:
-        shifts = np.array(list(itertools.product((-1, 0, 1), repeat=n)), dtype=float)
-        resid = (null_left.T @ rhs)[None, :] + 2.0 * np.pi * (shifts @ null_left)
-        hit = np.where(np.all(np.abs(resid) < 1e-9, axis=1))[0]
-        if hit.size:
-            shifted = rhs + 2.0 * np.pi * shifts[hit[0]]
-            chi, psi = solution(shifted)
-            return PhaseSystemReport(True, n, rank_a, augmented_rank(shifted),
-                                     chi=chi, psi=psi, used_shift_enumeration=True)
-
-    return PhaseSystemReport(False, n, rank_a, rank_d)
+    rank = sum(map(bool, adj)) - components
+    forest = np.array([0.0 if x is None else x for x in value])
+    gap = forest[rows] + forest[cols + d] - phi
+    if np.any(np.abs(gap - 2.0 * np.pi * np.round(gap / (2.0 * np.pi))) > tol):
+        return PhaseSystemReport(False, rows.size, rank, rank + 1)
+    return PhaseSystemReport(True, rows.size, rank, rank,
+                             chi=forest[:d].tolist(), psi=forest[d:].tolist(),
+                             used_shift_enumeration=bool(np.any(np.abs(gap) > tol)))
 
 
 @dataclass

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from grothq import matrix_to_dict, fourier_matrix
+from grothq import matrix_to_dict, fourier_matrix, save_matrix
 from grothq.cli import dispatch, parse_matrix_file
 from grothq.linalg import InputValidationError
 
@@ -89,6 +89,23 @@ def test_phases_subcommand(tmp_path, capsys):
     code, out = run_cli(capsys, ["phases", "--matrix", path])
     assert code == 0
     assert json.loads(out)["solvable"] is False
+
+
+def test_phases_rank_one_12x12(tmp_path, capsys):
+    # 144 equations: far past the size the former shift enumeration covered
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    y = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    theta = np.outer(x, y)
+    path = str(tmp_path / "rank_one.json")
+    save_matrix(path, theta)
+    code, out = run_cli(capsys, ["phases", "--matrix", path])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["solvable"] is True
+    assert doc["n_equations"] == 144 and doc["rank_coefficient"] == 23
+    gap = np.add.outer(doc["chi"], doc["psi"]) - np.angle(theta)
+    assert np.abs((gap + np.pi) % (2 * np.pi) - np.pi).max() < 1e-8
 
 
 def test_projector_then_classify_pipeline(tmp_path, capsys):

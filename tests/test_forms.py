@@ -136,6 +136,12 @@ def test_g_upper_zero():
     assert g_upper(np.zeros((3, 3))) == 0.0
 
 
+def test_g_upper_subnormal_not_below_g_lower():
+    # moduli taken in subnormal arithmetic once summed to 2e-323 < g_lower = 3e-323
+    theta = np.full((2, 2), 5e-324 * (1 + 1j))
+    assert g_upper(theta) >= g_lower(theta, SMALL).best_value
+
+
 # --- polydisc maximization ---
 
 def test_g_lower_permutation_type():
@@ -175,6 +181,14 @@ def test_g_lower_hermitian_2x2_strictly_below_l1():
     run = g_lower(theta, OptimizerConfig(starts=16, seed=1))
     assert run.best_value == pytest.approx(2 * np.sqrt(2), abs=1e-9)
     assert run.best_value < norm_entrywise_l1(theta) - 1.0
+
+
+def test_g_lower_weakly_coupled_split_phases_reach_l1():
+    # the rows converge at a rate near 1 - 1/64 and stop 1.5e-12 short of
+    # ||theta||_1; the phases split, and the forest witness attains it
+    theta = np.array([[1.0, 0.0], [1 / 64, 1.0]])
+    run = g_lower(theta, OptimizerConfig(starts=1, seed=0))
+    assert run.best_value == norm_entrywise_l1(theta)
 
 
 def test_g_lower_witness_feasible_and_reproduces_value():
@@ -317,6 +331,45 @@ def test_phase_system_solvable_implies_l1_attained():
             run = g_lower(theta, OptimizerConfig(starts=8, seed=2))
             assert run.best_value == pytest.approx(norm_entrywise_l1(theta), abs=1e-6)
     assert hits >= 30
+
+
+def _wrapped(x):
+    return (np.asarray(x) + np.pi) % (2 * np.pi) - np.pi
+
+
+def test_phase_system_rank_one_any_size():
+    # beyond 12 equations the former shift budget called these unsolvable
+    rng = np.random.default_rng(19)
+    face_value_failures = 0
+    for d in range(2, 17):
+        for _ in range(3):
+            x = np.exp(1j * rng.uniform(-np.pi, np.pi, d)) * rng.uniform(0.2, 1, d)
+            y = np.exp(1j * rng.uniform(-np.pi, np.pi, d)) * rng.uniform(0.2, 1, d)
+            theta = np.outer(x, y)
+            report = phase_system_solvable(theta)
+            assert report.solvable
+            assert report.n_equations == d * d
+            assert report.rank_coefficient == report.rank_augmented == 2 * d - 1
+            gap = np.add.outer(report.chi, report.psi) - np.angle(theta)
+            assert np.abs(_wrapped(gap)).max() < 1e-8
+            face_value_failures += report.used_shift_enumeration
+            run = g_lower(theta, SMALL)
+            assert run.best_value == pytest.approx(norm_entrywise_l1(theta), rel=1e-12)
+    assert face_value_failures >= 30
+
+
+def test_phase_system_zero_rows_and_columns():
+    theta = np.zeros((4, 4), dtype=complex)
+    theta[0, 1] = np.exp(0.3j)
+    theta[2, 1] = np.exp(-1.1j)
+    report = phase_system_solvable(theta)
+    assert report.solvable and report.n_equations == 2
+    assert report.rank_coefficient == 2          # 3 vertices, 1 component
+    assert report.chi[1] == report.chi[3] == 0.0
+    assert report.psi[0] == report.psi[2] == report.psi[3] == 0.0
+    assert phase_system_solvable(np.zeros((3, 3))).to_dict() == {
+        "solvable": True, "n_equations": 0, "rank_coefficient": 0, "rank_augmented": 0,
+        "chi": [0.0] * 3, "psi": [0.0] * 3, "used_shift_enumeration": False}
 
 
 # --- vector-form maximization ---

@@ -46,6 +46,21 @@ def test_l1_rejects_nonfinite():
         norm_entrywise_l1(np.array([[np.inf * 1j, 0], [0, 1]]))
 
 
+def test_l1_subnormal_entries_keep_precision():
+    # each modulus sqrt(2) * 5e-324 rounds to 5e-324 when taken in subnormal
+    # arithmetic; the sum 4 sqrt(2) * 5e-324 rounds to 6 * 5e-324
+    theta = np.full((2, 2), 5e-324 * (1 + 1j))
+    assert norm_entrywise_l1(theta) == 6 * 5e-324
+
+
+def test_l1_bit_identical_to_direct_sum():
+    rng = np.random.default_rng(13)
+    for scale in (1e-200, 1e-3, 1.0, 1e150):
+        for d in (1, 2, 5, 8):
+            m = scale * complex_gaussian(rng, d)
+            assert norm_entrywise_l1(m) == float(np.abs(m).sum())
+
+
 # --- Frobenius norm ---
 
 def test_frobenius_fourier_d3():

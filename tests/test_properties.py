@@ -1,4 +1,4 @@
-"""Property tests for the alternating-phase kernels g_lower and max_q_lower."""
+"""Property tests for the alternating-phase kernels and the phase-system solver."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -11,6 +11,7 @@ from grothq import (
     g_upper,
     max_q_lower,
     norm_entrywise_l1,
+    phase_system_solvable,
 )
 
 # derandomized so that every run of the suite checks the same examples
@@ -84,3 +85,96 @@ def test_g_lower_absolutely_homogeneous(theta, z, cfg):
 def test_max_q_lower_dominates_g_lower(theta, cfg):
     scalar = g_lower(theta, cfg).best_value
     assert max_q_lower(theta, cfg).best_value >= scalar * (1 - 1e-12) - 1e-12 * TINY
+
+
+# --- phase system phi_ij = chi_i + psi_j (mod 2 pi) ---
+
+angles = st.floats(-np.pi, np.pi)
+
+
+@st.composite
+def supports(draw, max_d=8):
+    """(d, d) boolean support of the nonzero entries."""
+    d = draw(st.integers(1, max_d))
+    return draw(arrays(bool, (d, d)))
+
+
+@st.composite
+def split_phase_matrices(draw):
+    """D1 |M| D2 on a random support, with D1, D2 diagonal unitaries."""
+    mask = draw(supports())
+    d = mask.shape[0]
+    moduli = draw(arrays(float, (d, d), elements=st.floats(1e-3, 10.0)))
+    chi = draw(arrays(float, d, elements=angles))
+    psi = draw(arrays(float, d, elements=angles))
+    return np.exp(1j * chi)[:, None] * (mask * moduli) * np.exp(1j * psi)[None, :]
+
+
+# moduli of normal range, so that a diagonal unitary moves each phase by at
+# most a few ulps instead of rounding a subnormal entry to another phase
+normal_entries = st.complex_numbers(min_magnitude=1e-3, max_magnitude=10.0,
+                                    allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Arbitrary entries on a random support: mostly unsolvable when cycles exist."""
+    mask = draw(supports())
+    return mask * draw(arrays(complex, mask.shape, elements=normal_entries))
+
+
+def coefficient_matrix(theta):
+    """The 0/1 matrix with one row e_i + e_(d+j) per nonzero entry theta_ij."""
+    d = theta.shape[0]
+    rows, cols = np.nonzero(theta)
+    coeff = np.zeros((rows.size, 2 * d))
+    coeff[np.arange(rows.size), rows] = 1.0
+    coeff[np.arange(rows.size), d + cols] = 1.0
+    return coeff
+
+
+def wrapped(x):
+    return (np.asarray(x) + np.pi) % (2 * np.pi) - np.pi
+
+
+@PROPERTY
+@given(split_phase_matrices())
+def test_split_phases_solvable_with_witness(theta):
+    report = phase_system_solvable(theta)
+    assert report.solvable
+    rows, cols = np.nonzero(theta)
+    gap = np.array(report.chi)[rows] + np.array(report.psi)[cols] - np.angle(theta[rows, cols])
+    assert np.all(np.abs(wrapped(gap)) <= 1e-8)
+
+
+@PROPERTY
+@given(split_phase_matrices(), configs)
+def test_split_phases_reach_l1(theta, cfg):
+    assert close(g_lower(theta, cfg).best_value, norm_entrywise_l1(theta), 1e-12)
+
+
+@PROPERTY
+@given(st.one_of(sparse_matrices(), split_phase_matrices()), st.data())
+def test_phase_verdict_invariant(theta, data):
+    d = theta.shape[0]
+    verdict = phase_system_solvable(theta).solvable
+    p = data.draw(st.permutations(range(d)))
+    q = data.draw(st.permutations(range(d)))
+    assert phase_system_solvable(theta[np.ix_(p, q)]).solvable == verdict
+    u = np.exp(1j * data.draw(arrays(float, d, elements=angles)))
+    v = np.exp(1j * data.draw(arrays(float, d, elements=angles)))
+    assert phase_system_solvable(u[:, None] * theta * v[None, :]).solvable == verdict
+
+
+@PROPERTY
+@given(st.one_of(sparse_matrices(), split_phase_matrices()))
+def test_phase_ranks_match_matrix_rank(theta):
+    report = phase_system_solvable(theta)
+    coeff = coefficient_matrix(theta)
+    rank = int(np.linalg.matrix_rank(coeff)) if coeff.size else 0
+    assert report.rank_coefficient == rank
+    if not report.solvable:
+        # an unsolvable system is inconsistent at face value too
+        rhs = np.angle(theta[np.nonzero(theta)])
+        assert report.rank_augmented == report.rank_coefficient + 1
+        assert np.linalg.matrix_rank(np.column_stack([coeff, rhs])) == rank + 1
