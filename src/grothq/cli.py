@@ -19,6 +19,9 @@ from .linalg import (
     InputValidationError,
     eigenvalue_multiplicities,
     hermitian_eig,
+    largest_singular_value,
+    norm_entrywise_l1,
+    require_square,
 )
 
 EXIT_OK = 0
@@ -86,26 +89,14 @@ def _optimizer_config(args, cli_cfg: CliConfig) -> forms.OptimizerConfig:
     )
 
 
-def _smax_kwargs(cli_cfg: CliConfig) -> dict:
-    tol = cli_cfg.tolerances
-    out = {}
-    if "smax_restarts" in tol:
-        out["restarts"] = int(tol["smax_restarts"])
-    if "smax_max_iterations" in tol:
-        out["max_iterations"] = int(tol["smax_max_iterations"])
-    return out
-
-
 def cmd_norms(args, cli_cfg):
     m = parse_matrix_file(args.matrix)
     _emit(norms.norm_report(m).to_dict())
 
 
 def cmd_gbound(args, cli_cfg):
-    m = parse_matrix_file(args.matrix)
-    from .linalg import largest_singular_value, norm_entrywise_l1, require_square
-    a = require_square(m)
-    smax = largest_singular_value(a, **_smax_kwargs(cli_cfg))
+    a = require_square(parse_matrix_file(args.matrix))
+    smax = largest_singular_value(a)
     d = a.shape[0]
     l1 = norm_entrywise_l1(a)
     _emit({

@@ -29,6 +29,7 @@ from .forms import (
     g_upper,
     kg_region_check,
     max_q_lower,
+    polydisc_verdict,
 )
 from .linalg import InputValidationError, largest_singular_value, norm_entrywise_l1
 from .states import build_family, build_projector, torus_witness
@@ -107,13 +108,7 @@ def _membership(lam: float, d_big: int, witness_value: float):
     lower bound, so scales are judged against [witness_value, d_big].
     """
     in_g_prime = bool(d_big * lam <= 1.0 + G_PRIME_TOL)
-    if d_big * lam <= 1.0:
-        in_g = "certified_yes"
-    elif witness_value * lam > 1.0 + 1e-9:
-        in_g = "certified_no"
-    else:
-        in_g = "unknown"
-    return in_g_prime, in_g
+    return in_g_prime, polydisc_verdict(d_big * lam, witness_value * lam)
 
 
 def _run_projector_experiment(name: str, d: int, lam: float) -> ExperimentRecord:

@@ -38,6 +38,7 @@ __all__ = [
     "g_lower",
     "max_q_lower",
     "phase_system_solvable",
+    "polydisc_verdict",
     "classify",
     "kg_region_check",
 ]
@@ -477,6 +478,19 @@ G_PRIME_TOL = 1e-10
 CERTIFIED_NO_MARGIN = 1e-9
 
 
+def polydisc_verdict(upper: float, lower: float) -> str:
+    """Membership in the polydisc unit set from a certified bracket of g.
+
+    An upper bound at most 1 certifies membership, a witness value above
+    1 + CERTIFIED_NO_MARGIN certifies exclusion, anything else is unknown.
+    """
+    if upper <= 1.0:
+        return "certified_yes"
+    if lower > 1.0 + CERTIFIED_NO_MARGIN:
+        return "certified_no"
+    return "unknown"
+
+
 def classify(theta, config: Optional[OptimizerConfig] = None) -> GClassification:
     """Bracket g(theta), decide membership in the unit-form sets.
 
@@ -491,13 +505,7 @@ def classify(theta, config: Optional[OptimizerConfig] = None) -> GClassification
     gp = g_prime(a)
     l1 = norm_entrywise_l1(a)
     upper = min(l1, gp)
-
-    if upper <= 1.0:
-        in_g = "certified_yes"
-    elif run.best_value > 1.0 + CERTIFIED_NO_MARGIN:
-        in_g = "certified_no"
-    else:
-        in_g = "unknown"
+    in_g = polydisc_verdict(upper, run.best_value)
 
     entry_max = float(np.abs(a).max())
     fro = float(np.linalg.norm(a))

@@ -31,10 +31,10 @@ class InputValidationError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when an iterative solver exhausts its iteration budget.
+    """Raised when a numerical solver fails to converge.
 
-    The last iterate is kept on the exception so callers can inspect how far
-    the solver got.
+    ``last_iterate`` keeps the solver's last iterate when it has one; the
+    LAPACK routines wrapped here have none and leave it None.
     """
 
     def __init__(self, message, last_iterate=None):
@@ -78,7 +78,7 @@ def norm_frobenius(m) -> float:
 def pow2_normalize(a: np.ndarray):
     """(a / 2^k, 2^k) with max |a_ij| / 2^k in [1/2, 1); (a, 1.0) for a zero matrix.
 
-    Scaling by a power of two is exact, so an iteration can run on a / 2^k,
+    Scaling by a power of two is exact, so a computation can run on a / 2^k,
     free of underflow and overflow, and scale its result back without
     rounding.
     """
@@ -90,67 +90,20 @@ def pow2_normalize(a: np.ndarray):
     return np.ldexp(a.real, -k) + 1j * np.ldexp(a.imag, -k), float(np.ldexp(1.0, k))
 
 
-# Fixed base seed for the power-iteration restarts; the op stays a pure,
-# deterministic function of its matrix argument.
-_POWER_SEED = 0x5EED
+def largest_singular_value(m) -> float:
+    """Largest singular value (spectral norm), from LAPACK's SVD via numpy.
 
-def largest_singular_value(m, restarts: int = 10, max_iterations: int = 20000,
-                           rtol: float = 1e-14) -> float:
-    """Largest singular value via power iteration on M^dagger M.
-
-    The iterated power is squared after every step, so step k applies
-    (M^dagger M)^(2^k) and nearly tied singular values separate after a few
-    dozen steps instead of stalling.  Convergence is declared when successive
-    Rayleigh quotients (of M^dagger M itself) agree to ``rtol`` (relative) on
-    three consecutive iterations; the best converged restart wins.  For
-    normal matrices the result equals the spectral radius.
+    The SVD runs on the ``pow2_normalize``d matrix and the result is scaled
+    back, so tiny or huge matrices neither underflow nor overflow and the
+    result scales exactly with the matrix.  For normal matrices it equals
+    the spectral radius.
     """
-    a = require_square(m)
-    if not np.any(a):
-        return 0.0
-    d = a.shape[0]
-    if d == 1:
-        return float(abs(a[0, 0]))
-    a, unit = pow2_normalize(a)
-    b = a.conj().T @ a
-    scale = np.linalg.norm(b)
-    best = -np.inf
-    converged = False
-    last = None
-    for r in range(restarts):
-        rng = np.random.default_rng(_POWER_SEED ^ r)
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        power = b
-        q_prev = None
-        hits = 0
-        for _ in range(max_iterations):
-            w = power @ v
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                q = 0.0
-                hits = 3
-                break
-            v = w / nw
-            q = float(np.real(np.vdot(v, b @ v)))
-            if q_prev is not None and abs(q - q_prev) <= rtol * max(abs(q), scale * 1e-30):
-                hits += 1
-                if hits >= 3:
-                    break
-            else:
-                hits = 0
-            q_prev = q
-            power = power @ power
-            power /= np.linalg.norm(power)
-        last = v
-        if hits >= 3:
-            converged = True
-            best = max(best, q)
-    if not converged:
-        raise ConvergenceError(
-            f"power iteration did not converge within {max_iterations} iterations "
-            f"over {restarts} restarts", last_iterate=last)
-    return unit * float(np.sqrt(max(best, 0.0)))
+    b, unit = pow2_normalize(require_square(m))
+    try:
+        s = np.linalg.svd(b, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
+    return unit * float(s[0])
 
 
 @dataclass
@@ -161,68 +114,24 @@ class EigenDecomposition:
     residual: float
 
 
-def hermitian_eig(h, hermiticity_tol: float = 1e-12, off_tol: float = 1e-12,
-                  max_sweeps: int = 100) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def hermitian_eig(h, hermiticity_tol: float = 1e-12) -> EigenDecomposition:
+    """Eigendecomposition of a Hermitian matrix, from LAPACK via numpy.
 
-    The input must be Hermitian entrywise to ``hermiticity_tol``.  Sweeps stop
-    once the off-diagonal Frobenius mass drops below ``off_tol`` times the
-    Frobenius norm of H.
+    The input must be Hermitian entrywise to ``hermiticity_tol``; its
+    Hermitian part (H + H^dagger)/2 is decomposed.  ``residual`` is
+    ||H V - V diag(lambda)||_F against the input H.
     """
     h = require_square(h)
     dev = np.abs(h - h.conj().T).max()
     if dev > hermiticity_tol:
         raise InputValidationError(
             f"matrix is not Hermitian: max |H_ij - conj(H_ji)| = {dev:.3e}")
-    d = h.shape[0]
-    a = (h + h.conj().T) / 2.0
-    v = np.eye(d, dtype=complex)
-    norm_h = np.linalg.norm(a)
-    if norm_h == 0.0:
-        return EigenDecomposition(np.zeros(d), v, 0.0)
-
-    def off(x):
-        return np.linalg.norm(x - np.diag(np.diag(x)))
-
-    sweeps = 0
-    while off(a) > off_tol * norm_h:
-        if sweeps >= max_sweeps:
-            raise ConvergenceError(
-                f"Jacobi sweeps did not converge within {max_sweeps} sweeps",
-                last_iterate=a)
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                c = a[p, q]
-                if abs(c) <= off_tol * norm_h / (d * d):
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                phase = c / abs(c)
-                if app == aqq:
-                    t = 1.0
-                else:
-                    tau = (app - aqq) / (2.0 * abs(c))
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(tau * tau + 1.0))
-                cs = 1.0 / np.sqrt(t * t + 1.0)
-                sn = t * cs
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = cs * colp + np.conj(phase) * sn * colq
-                a[:, q] = -phase * sn * colp + cs * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = cs * rowp + phase * sn * rowq
-                a[q, :] = -np.conj(phase) * sn * rowp + cs * rowq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = cs * vp + np.conj(phase) * sn * vq
-                v[:, q] = -phase * sn * vp + cs * vq
-        sweeps += 1
-    lam = np.diag(a).real.copy()
-    order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    v = v[:, order]
-    residual = float(np.linalg.norm(h @ v - v @ np.diag(lam)))
+    try:
+        lam, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"Hermitian eigensolver did not converge: {exc}") from exc
+    lam, v = lam[::-1], v[:, ::-1]
+    residual = float(np.linalg.norm(h @ v - v * lam))
     return EigenDecomposition(lam, v, residual)
 
 

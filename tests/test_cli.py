@@ -191,14 +191,15 @@ def test_unknown_subcommand_exits_2(capsys):
     assert dispatch(["frobnicate"]) == 2
 
 
-def test_convergence_failure_exit_3(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(
-        {"tolerances": {"smax_restarts": 1, "smax_max_iterations": 2}}))
+def test_convergence_failure_exit_3(tmp_path, capsys, monkeypatch):
+    def fail_to_converge(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected non-convergence")
+
+    monkeypatch.setattr(np.linalg, "svd", fail_to_converge)
     rng = np.random.default_rng(0)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     path = write_matrix(tmp_path, "m.json", m)
-    code, _ = run_cli(capsys, ["--config", str(cfg), "gbound", "--matrix", path])
+    code, _ = run_cli(capsys, ["gbound", "--matrix", path])
     assert code == 3
 
 
@@ -221,6 +222,19 @@ def test_config_ignores_retired_line_search_keys(tmp_path, capsys):
     code, out = run_cli(capsys, ["--config", str(cfg), "classify", "--matrix", path])
     assert code == 0
     assert json.loads(out)["g_lower"] == pytest.approx(0.8, abs=1e-12)
+
+
+def test_config_ignores_retired_smax_keys(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"tolerances": {"smax_restarts": 1, "smax_max_iterations": 2}}))
+    rng = np.random.default_rng(0)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    path = write_matrix(tmp_path, "m.json", m)
+    plain = run_cli(capsys, ["gbound", "--matrix", path])
+    configured = run_cli(capsys, ["--config", str(cfg), "gbound", "--matrix", path])
+    assert plain[0] == configured[0] == 0
+    assert configured[1] == plain[1]
 
 
 def test_config_rejects_bad_tolerance(tmp_path, capsys):

@@ -144,11 +144,15 @@ def test_smax_tiny_matrix_does_not_underflow():
     assert largest_singular_value(np.full((2, 2), 1e-160)) == pytest.approx(2e-160, rel=1e-12)
 
 
-def test_smax_convergence_error_carries_iterate():
+def fail_to_converge(*args, **kwargs):
+    raise np.linalg.LinAlgError("injected non-convergence")
+
+
+def test_smax_lapack_failure_raises_convergence_error(monkeypatch):
+    monkeypatch.setattr(np.linalg, "svd", fail_to_converge)
     m = complex_gaussian(np.random.default_rng(5), 4)
-    with pytest.raises(ConvergenceError) as err:
-        largest_singular_value(m, restarts=1, max_iterations=2)
-    assert err.value.last_iterate is not None
+    with pytest.raises(ConvergenceError, match="SVD did not converge"):
+        largest_singular_value(m)
 
 
 def test_smax_equals_spectral_radius_for_normal():
@@ -195,6 +199,12 @@ def test_eig_matches_numpy():
         mine = hermitian_eig(h).eigenvalues
         ref = np.sort(np.linalg.eigvalsh(h))[::-1]
         assert np.abs(mine - ref).max() < 1e-9
+
+
+def test_eig_lapack_failure_raises_convergence_error(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", fail_to_converge)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        hermitian_eig(random_hermitian(np.random.default_rng(5), 4))
 
 
 def test_eig_rejects_non_hermitian():

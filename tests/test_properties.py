@@ -1,4 +1,5 @@
-"""Property tests for the alternating-phase kernels and the phase-system solver."""
+"""Property tests for the alternating-phase kernels, the phase-system solver
+and the LAPACK-backed linear algebra."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -9,8 +10,11 @@ from grothq import (
     eval_C,
     g_lower,
     g_upper,
+    hermitian_eig,
+    largest_singular_value,
     max_q_lower,
     norm_entrywise_l1,
+    norm_frobenius,
     phase_system_solvable,
 )
 
@@ -85,6 +89,40 @@ def test_g_lower_absolutely_homogeneous(theta, z, cfg):
 def test_max_q_lower_dominates_g_lower(theta, cfg):
     scalar = g_lower(theta, cfg).best_value
     assert max_q_lower(theta, cfg).best_value >= scalar * (1 - 1e-12) - 1e-12 * TINY
+
+
+# --- largest singular value and Hermitian eigendecomposition ---
+
+def ldexp(m, k):
+    """m * 2^k, entrywise on the real and imaginary parts."""
+    return np.ldexp(m.real, k) + 1j * np.ldexp(m.imag, k)
+
+
+@PROPERTY
+@given(matrices())
+def test_smax_matches_svd(m):
+    assert close(largest_singular_value(m), np.linalg.svd(m, compute_uv=False)[0], 1e-12)
+
+
+@PROPERTY
+@given(matrices(), st.sampled_from([-1070, -600, 600]))
+def test_smax_scales_exactly_by_powers_of_two(m, k):
+    # scaling up by 2^j is exact, scaling down may round entries that
+    # underflow: build the pair (small, big = 2^j small) by scaling up, then
+    # compare the big result scaled down, a single rounding like the small one
+    j = abs(k)
+    small = ldexp(m, k) if k < 0 else m
+    big = ldexp(small, j)
+    assert largest_singular_value(small) == 2.0 ** -j * largest_singular_value(big)
+
+
+@PROPERTY
+@given(matrices())
+def test_hermitian_eig_descending_with_small_residual(m):
+    h = m + m.conj().T
+    dec = hermitian_eig(h)
+    assert np.all(np.diff(dec.eigenvalues) <= 0)
+    assert dec.residual <= 1e-12 * (1 + norm_frobenius(h))
 
 
 # --- phase system phi_ij = chi_i + psi_j (mod 2 pi) ---
