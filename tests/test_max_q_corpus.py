@@ -1,0 +1,34 @@
+"""max_q_lower keeps the frozen values of the corpus.
+
+tests/data/max_q_corpus.json was written by tests/data/make_max_q_corpus.py
+with the per-start batched kernel; each entry holds a matrix, the
+OptimizerConfig it was run with, the best value and every start's value.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from grothq import OptimizerConfig, matrix_from_dict, max_q_lower
+
+CORPUS = json.loads((Path(__file__).parent / "data" / "max_q_corpus.json").read_text())
+ENTRIES = CORPUS["entries"]
+
+
+def test_corpus_covers_every_family():
+    families = {e["family"] for e in ENTRIES}
+    assert families == {"rarity_normal", "complex_gaussian", "pi6", "rank_one",
+                        "zero_row_and_column"}
+    assert {e["matrix"]["rows"] for e in ENTRIES if e["family"] == "complex_gaussian"} \
+        == set(range(2, 9))
+    assert any(e["stop_reason"] == "budget" for e in ENTRIES if e["family"] == "rarity_normal")
+    assert len(ENTRIES) >= 80
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e["family"])
+def test_max_q_lower_keeps_frozen_values(entry):
+    theta = matrix_from_dict(entry["matrix"])
+    run = max_q_lower(theta, OptimizerConfig(**entry["config"]))
+    assert run.best_value >= entry["best_value"] * (1 - 1e-12)
+    assert run.per_start_values == pytest.approx(entry["per_start_values"], rel=1e-12, abs=0)
