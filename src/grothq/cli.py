@@ -18,7 +18,6 @@ from .linalg import (
     ConvergenceError,
     InputValidationError,
     eigenvalue_multiplicities,
-    hermitian_eig,
     largest_singular_value,
     norm_entrywise_l1,
     require_square,
@@ -151,8 +150,7 @@ def cmd_projector(args, cli_cfg):
     family = states.build_family(args.dim)
     proj = states.build_projector(family)
     matrix_io.save_matrix(args.out, proj.matrix)
-    eig = hermitian_eig(proj.matrix)
-    clusters = eigenvalue_multiplicities(eig.eigenvalues)
+    clusters = eigenvalue_multiplicities(proj.eigenvalues)
     _emit({
         "dim": family.dim,
         "dim_big": proj.dim_big,

@@ -223,13 +223,13 @@ def _zero_matrix_run(cfg: OptimizerConfig, witness: tuple) -> OptimizerRun:
                         witness, 1.0, [0.0] * cfg.starts, [0] * cfg.starts, "zero_matrix")
 
 
-def _conj_phase(z: np.ndarray, fallback) -> np.ndarray:
-    """conj(z) / |z| entrywise, taking ``fallback`` where |z| = 0."""
-    mod = np.abs(z)
+def _phase(z: np.ndarray, mod: np.ndarray, fallback) -> np.ndarray:
+    """z / |z| entrywise, given mod = |z|, taking ``fallback`` where z = 0."""
     if mod.min() >= _TINY:
-        return z.conj() / mod
+        return z / mod
     # complex division by a subnormal modulus overflows; the angle does not
-    return np.where(mod > 0, np.exp(-1j * np.angle(z)), fallback)
+    # (-1j * -angle keeps the sign of a zero angle, 1j * angle drops it)
+    return np.where(mod > 0, np.exp(-1j * -np.angle(z)), fallback)
 
 
 def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
@@ -241,8 +241,9 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
     seeded start runs as four rows (its phases and their conjugates, each
     taken once as t and once as s), and all rows alternate together on theta
     scaled by ``pow2_normalize`` until none improves by more than
-    1e-3 * ``phase_tolerance`` or d * ``max_iterations`` rounds have run.
-    When the phases of theta split as chi_i + psi_j (``phase_system_solvable``),
+    1e-3 * ``phase_tolerance`` or d * ``max_iterations`` rounds have run.  A
+    round carries conj(s) and uses conj(theta), so it conjugates nothing, and
+    |theta t| gives both F and the next s.  When the phases of theta split as chi_i + psi_j (``phase_system_solvable``),
     t = exp(-i psi) attains ||theta||_1 and is the witness unless a row beats
     it.  The result is a deterministic function of (matrix, config).
     """
@@ -255,20 +256,26 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
         return _zero_matrix_run(cfg, (ones, ones))
 
     b, unit = pow2_normalize(a)
+    b_conj, b_t = b.conj(), b.T
     seeded = _initial_phases(cfg, d)
     phases = np.vstack([seeded, seeded.conj()])
     # row blocks of n: phases as t, then as s (t = conj phase(theta^T s))
-    t = np.vstack([phases, _conj_phase(phases @ b, phases)])
-    r = t @ b.T                       # rows: (theta t) / unit per row
-    f = np.abs(r).sum(axis=1)
+    z = phases @ b
+    t = np.vstack([phases, _phase(z.conj(), np.abs(z), phases)])
+    r = t @ b_t                       # rows: (theta t) / unit per row
+    mod = np.abs(r)
+    f = mod.sum(axis=1)
     threshold = 1e-3 * cfg.phase_tolerance
     improvement = np.full(4 * n, np.inf)
     last_gain = np.zeros(4 * n, dtype=int)
     rounds = 0
     while rounds < d * cfg.max_iterations:
-        t = _conj_phase(_conj_phase(r, 1.0) @ b, t)
-        r = t @ b.T
-        f_new = np.abs(r).sum(axis=1)
+        # conj(s) = phase(r) and t = conj phase(s b) = phase(conj(s) conj(b))
+        w = _phase(r, mod, 1.0) @ b_conj
+        t = _phase(w, np.abs(w), t)
+        r = t @ b_t
+        mod = np.abs(r)
+        f_new = mod.sum(axis=1)
         improvement, f = f_new - f, f_new
         rounds += 1
         last_gain[improvement > threshold] = rounds
@@ -284,7 +291,7 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
         if np.abs(b @ t_split).sum() > np.abs(b @ t_best).sum():
             t_best = t_split
     r_best = b @ t_best
-    s_best = _conj_phase(r_best, 1.0)
+    s_best = _phase(r_best.conj(), np.abs(r_best), 1.0)
     witness = (PolydiscTuple(s_best).validate(), PolydiscTuple(t_best).validate())
     converged = (improvement < cfg.phase_tolerance).reshape(4, n).all(axis=0)
     return OptimizerRun(
@@ -302,15 +309,8 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
 
 
 def _q_values(theta, x, y) -> np.ndarray:
-    """|sum_ij theta_ij <x_i, y_j>| for each start of the (starts, d, d) blocks."""
-    return np.abs(np.einsum("ij,nik,njk->n", theta, x.conj(), y))
-
-
-def _unit_rows(z: np.ndarray, previous: np.ndarray, active: np.ndarray):
-    """Unit rows of z and the row norms; previous rows where zero or not active."""
-    norms = np.linalg.norm(z, axis=2)
-    keep = active[:, None] & (norms > 0)
-    return np.where(keep[..., None], z / np.where(keep, norms, 1.0)[..., None], previous), norms
+    """|sum_ij theta_ij <x_i, y_j>| for each start of the (d, starts, d) blocks."""
+    return np.abs(np.einsum("ij,ink,jnk->n", theta, x.conj(), y))
 
 
 def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
@@ -320,9 +320,10 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
     sum_i conj(theta_ij) x_i, and symmetrically; both half-steps are monotone.
     One extra start embeds the scalar witness of ``g_lower`` (same config) as
     parallel vectors, so the result never falls below that scalar bound.  All
-    starts alternate as one (starts + 1, d, d) block on theta scaled as in
-    ``g_lower``; each stops once its value changes by less than
-    1e-3 * ``phase_tolerance``.
+    starts alternate as one (d, starts + 1, d) block on theta scaled as in
+    ``g_lower``, so a half-step is one matmul; a vector whose update is zero
+    keeps its value.  A start leaves the block once its value changes by less
+    than 1e-3 * ``phase_tolerance``.
     """
     cfg = config or OptimizerConfig()
     a = require_square(theta)
@@ -333,37 +334,48 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
         return _zero_matrix_run(cfg, (zero, zero))
 
     n = cfg.starts + 1
-    x, y = np.zeros((2, n, d, d), dtype=complex)
+    xy = np.zeros((2, d, n, d), dtype=complex)      # xy[0][i, k] is x_i of start k
     s_w, t_w = scalar.best_witness
-    x[0, :, 0] = np.conj(s_w.values)
-    y[0, :, 0] = t_w.values
+    xy[0, :, 0, 0] = np.conj(s_w.values)
+    xy[1, :, 0, 0] = t_w.values
     for k in range(cfg.starts):
         rng = np.random.default_rng(cfg.seed ^ k)
-        x[k + 1] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        y[k + 1] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    x[1:] /= np.linalg.norm(x[1:], axis=2)[..., None]
-    y[1:] /= np.linalg.norm(y[1:], axis=2)[..., None]
+        xy[0, :, k + 1] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        xy[1, :, k + 1] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    xy[:, :, 1:] /= np.linalg.norm(xy[:, :, 1:], axis=3)[..., None]
 
     b, unit = pow2_normalize(a)
     b_h = b.conj().T
-    q_prev = _q_values(b, x, y)
-    active = np.ones(n, dtype=bool)
+    q_prev = _q_values(b, xy[0], xy[1])
+    out = np.empty_like(xy)                         # each start written back once
+    live = np.arange(n)                             # starts still in the block
     used = np.zeros(n, dtype=int)
-    for rounds in range(1, cfg.max_iterations + 1):
-        y, _ = _unit_rows(b_h @ x, y, active)
-        x, norms = _unit_rows(b @ y, x, active)
-        q = norms.sum(axis=1)
-        used[active] = rounds
-        settled = active & (np.abs(q - q_prev) < cfg.phase_tolerance * 1e-3)
-        q_prev = np.where(active, q, q_prev)
-        active &= ~settled
-        if not active.any():
-            break
+    rounds = 0
+    while live.size and rounds < cfg.max_iterations:
+        rounds += 1
+        for src, m in ((0, b_h), (1, b)):           # y from x, then x from y
+            z = (m @ xy[src].reshape(d, -1)).reshape(d, -1, d)
+            norms = np.linalg.norm(z, axis=2)
+            if norms.min() > 0:
+                np.divide(z, norms[..., None], out=xy[1 - src])
+            else:
+                nonzero = norms > 0
+                xy[1 - src][nonzero] = z[nonzero] / norms[nonzero][:, None]
+        q = norms.sum(axis=0)
+        settled = np.abs(q - q_prev) < cfg.phase_tolerance * 1e-3
+        if settled.any():
+            out[:, :, live[settled]] = xy[:, :, settled]
+            used[live[settled]] = rounds
+            keep = ~settled
+            xy, q, live = np.compress(keep, xy, axis=2), q[keep], live[keep]
+        q_prev = q
+    out[:, :, live] = xy
+    used[live] = rounds
 
-    q_final = unit * _q_values(b, x, y)
+    q_final = unit * _q_values(b, out[0], out[1])
     best = int(q_final.argmax())
-    witness = (VectorTuple.from_rows(x[best]).validate(),
-               VectorTuple.from_rows(y[best]).validate())
+    witness = (VectorTuple.from_rows(out[0, :, best]).validate(),
+               VectorTuple.from_rows(out[1, :, best]).validate())
     return OptimizerRun(
         starts=cfg.starts,
         seed=cfg.seed,
@@ -371,10 +383,10 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
         phase_tolerance=cfg.phase_tolerance,
         best_value=float(q_final[best]),
         best_witness=witness,
-        converged_fraction=float((~active).mean()),
+        converged_fraction=(n - live.size) / n,
         per_start_values=[float(v) for v in q_final],
         iterations_used=[int(k) for k in used],
-        stop_reason="budget" if active.any() else "tolerance",
+        stop_reason="budget" if live.size else "tolerance",
     )
 
 

@@ -173,10 +173,11 @@ def expand_state(family: StateFamily, f) -> ExpansionCoefficients:
 
 @dataclass
 class OverlapProjector:
-    """The d(d-1) x d(d-1) projector Pi_ij = <a_i|a_j>/(d-1) and its rank."""
+    """The d(d-1) x d(d-1) projector Pi_ij = <a_i|a_j>/(d-1), its rank and spectrum."""
     dim_big: int
     matrix: np.ndarray
     rank: int
+    eigenvalues: np.ndarray   # descending, from hermitian_eig
 
 
 def build_projector(family: StateFamily) -> OverlapProjector:
@@ -186,7 +187,8 @@ def build_projector(family: StateFamily) -> OverlapProjector:
     eig = hermitian_eig(pi)
     clusters = eigenvalue_multiplicities(eig.eigenvalues)
     rank = sum(count for value, count in clusters if abs(value - 1.0) <= 1e-8)
-    return OverlapProjector(dim_big=family.count, matrix=pi, rank=int(rank))
+    return OverlapProjector(dim_big=family.count, matrix=pi, rank=int(rank),
+                            eigenvalues=eig.eigenvalues)
 
 
 def torus_witness(d: int):

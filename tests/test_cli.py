@@ -5,7 +5,10 @@ import sys
 import numpy as np
 import pytest
 
-from grothq import matrix_to_dict, fourier_matrix, save_matrix
+import grothq
+from grothq import (build_family, build_projector, cli, eigenvalue_multiplicities,
+                    hermitian_eig, linalg, matrix_to_dict, fourier_matrix,
+                    normalization_factor, save_matrix, states)
 from grothq.cli import dispatch, parse_matrix_file
 from grothq.linalg import InputValidationError
 
@@ -128,6 +131,38 @@ def test_projector_then_classify_pipeline(tmp_path, capsys):
     assert doc["scaling"]["lambda_max_in_G_prime"] == pytest.approx(1 / 6, abs=1e-9)
 
 
+@pytest.mark.parametrize("dim", [3, 4])
+def test_projector_decomposes_once_and_keeps_its_stdout(tmp_path, capsys, monkeypatch, dim):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return hermitian_eig(*args, **kwargs)
+
+    for module in (grothq, linalg, states, cli):
+        for name, value in list(vars(module).items()):
+            if value is hermitian_eig:
+                monkeypatch.setattr(module, name, counted)
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli(capsys, ["projector", "--dim", str(dim), "--out", "pi.json"])
+    assert code == 0
+    assert len(calls) == 1
+    # the document as printed when the command decomposed the matrix a second time
+    proj = build_projector(build_family(dim))
+    clusters = eigenvalue_multiplicities(hermitian_eig(proj.matrix).eigenvalues)
+    expected = {
+        "dim": dim,
+        "dim_big": proj.dim_big,
+        "rank": proj.rank,
+        "trace": float(np.trace(proj.matrix).real),
+        "eigenvalue_clusters": [[v, c] for v, c in clusters],
+        "n_factor": normalization_factor(proj.matrix),
+        "unit_set_scale": float(np.sqrt(dim - 1)),
+        "out": "pi.json",
+    }
+    assert out == json.dumps(expected) + "\n"
+
+
 def test_states_subcommand(capsys):
     code, out = run_cli(capsys, ["states", "--dim", "4", "--check", "all"])
     assert code == 0
@@ -158,6 +193,16 @@ def test_experiment_bounded_stdout_byte_identical():
     first = subprocess.run(argv, capture_output=True)
     second = subprocess.run(argv, capture_output=True)
     assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout
+
+
+def test_experiment_rarity_stdout_byte_identical():
+    argv = [sys.executable, "-m", "grothq.cli", "experiment", "rarity",
+            "--ensemble", "random_normal", "--samples", "6", "--seed", "1", "--starts", "16"]
+    first = subprocess.run(argv, capture_output=True)
+    second = subprocess.run(argv, capture_output=True)
+    assert first.returncode == second.returncode == 0
+    assert len(first.stdout.splitlines()) == 7      # six records, then the summary
     assert first.stdout == second.stdout
 
 

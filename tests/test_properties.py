@@ -91,6 +91,30 @@ def test_max_q_lower_dominates_g_lower(theta, cfg):
     assert max_q_lower(theta, cfg).best_value >= scalar * (1 - 1e-12) - 1e-12 * TINY
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(matrices(), st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**16))
+def test_max_q_lower_starts_are_independent(theta, k, extra, seed):
+    # start 0 embeds the g_lower witness, which depends on every start
+    few = max_q_lower(theta, OptimizerConfig(starts=k, seed=seed)).per_start_values
+    many = max_q_lower(theta, OptimizerConfig(starts=k + extra, seed=seed)).per_start_values
+    assert all(close(a, b, 1e-12) for a, b in zip(few[1:k + 1], many[1:k + 1]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(matrices(), configs, st.data())
+def test_max_q_lower_witness_valid_with_zero_rows_and_columns(theta, cfg, data):
+    d = theta.shape[0]
+    indices = st.lists(st.integers(0, d - 1), min_size=1, max_size=d - 1)
+    theta[data.draw(indices), :] = 0
+    theta[:, data.draw(indices)] = 0
+    run = max_q_lower(theta, cfg)
+    x, y = run.best_witness
+    x.validate()
+    y.validate()
+    value = abs(np.einsum("ij,ik,jk->", theta, x.scaled().conj(), y.scaled()))
+    assert close(value, run.best_value, 1e-12)
+
+
 # --- largest singular value and Hermitian eigendecomposition ---
 
 def ldexp(m, k):
