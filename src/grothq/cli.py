@@ -9,6 +9,7 @@ numerical non-convergence.
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,18 +181,11 @@ def cmd_experiment(args, cli_cfg):
         seed = args.seed if args.seed is not None else cli_cfg.seed
         starts = args.starts if args.starts is not None else cli_cfg.starts
         out_path = args.out or cli_cfg.output_path
-        if out_path:
-            with open(out_path, "a", encoding="utf-8") as fh:
-                def sink(record):
-                    fh.write(json.dumps(record))
-                    fh.write("\n")
-                stats = experiments.run_rarity(args.ensemble, args.samples, seed,
-                                               starts, dim=args.dim, sink=sink)
-        else:
-            def sink(record):
-                print(json.dumps(record))
-            stats = experiments.run_rarity(args.ensemble, args.samples, seed,
-                                           starts, dim=args.dim, sink=sink)
+        # records go to the --out file when given, else to stdout before the summary
+        with open(out_path, "a", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
+            stats = experiments.run_rarity(
+                args.ensemble, args.samples, seed, starts, dim=args.dim,
+                sink=lambda record: fh.write(json.dumps(record) + "\n"))
         _emit(stats.to_dict())
     else:  # pragma: no cover - argparse restricts choices
         raise InputValidationError(f"unknown experiment {kind!r}")

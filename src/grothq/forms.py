@@ -46,7 +46,7 @@ __all__ = [
 # Published upper bound for the complex Grothendieck constant: 1 < k_G <= 1.4049.
 K_G_UPPER = 1.4049
 
-_TINY = np.finfo(float).tiny   # smallest normal float
+_SMALL = np.sqrt(np.finfo(float).tiny)   # below it, squared moduli underflow
 
 
 @dataclass
@@ -104,12 +104,9 @@ class VectorTuple:
     @classmethod
     def from_rows(cls, rows) -> "VectorTuple":
         rows = np.asarray(rows, dtype=complex)
-        scales = np.linalg.norm(rows, axis=1)
-        units = np.where(scales[:, None] > 0, rows / np.where(scales > 0, scales, 1.0)[:, None], 0)
-        # unit rows for zero vectors are irrelevant; pin them to e_0
-        for i in range(rows.shape[0]):
-            if scales[i] == 0:
-                units[i, 0] = 1.0
+        units = np.zeros_like(rows)
+        units[:, 0] = 1.0               # unit rows for zero vectors are irrelevant: e_0
+        scales = _normalize(rows, units)[:, 0]
         return cls(unit_vectors=units, scales=np.minimum(scales, 1.0))
 
 
@@ -154,8 +151,8 @@ class OptimizerConfig:
     starts: int = 64
     seed: int = 0
     max_iterations: int = 200       # alternation cap (g_lower: d times this many rounds)
-    phase_tolerance: float = 1e-10  # converged once a round improves less than this,
-                                    # relative to the power of two above max |theta_ij|
+    phase_tolerance: float = 1e-10  # a start settles once a round changes its value by less
+                                    # than 1e-3 times this, on theta scaled by pow2_normalize
 
     def __post_init__(self):
         if self.starts < 1:
@@ -170,9 +167,13 @@ class OptimizerConfig:
 class OptimizerRun:
     """Result of a multistart maximization, reproducible bit-for-bit from its config.
 
-    ``iterations_used``: rounds per start until it stopped improving by more
-    than 1e-3 * phase_tolerance.  ``stop_reason``: "tolerance", "budget" (the
-    round cap cut the run) or "zero_matrix".
+    A start settles once a round changes its value by less than
+    1e-3 * phase_tolerance (``_alternate``).  ``iterations_used``: rounds per
+    start until it settled or the round cap cut it.  ``converged_fraction``:
+    share of starts that settled before the cap.  For ``g_lower`` a start is
+    its four rows: it has used the most rounds of any of them, and it has
+    settled when all four have.  ``stop_reason``: "tolerance" (every start
+    settled), "budget" (the cap cut at least one) or "zero_matrix".
     """
     starts: int
     seed: int
@@ -211,39 +212,81 @@ class OptimizerRun:
 
 
 def _initial_phases(config: OptimizerConfig, d: int) -> np.ndarray:
-    t = np.empty((config.starts, d), dtype=complex)
-    for s in range(config.starts):
-        rng = np.random.default_rng(config.seed ^ s)
-        t[s] = np.exp(1j * rng.uniform(-np.pi, np.pi, d))
-    return t
+    angles = [np.random.default_rng(config.seed ^ s).uniform(-np.pi, np.pi, d)
+              for s in range(config.starts)]
+    return np.exp(1j * np.array(angles))
 
 
-def _zero_matrix_run(cfg: OptimizerConfig, witness: tuple) -> OptimizerRun:
+def _zero_matrix_run(cfg: OptimizerConfig, n: int, witness: tuple) -> OptimizerRun:
     return OptimizerRun(cfg.starts, cfg.seed, cfg.max_iterations, cfg.phase_tolerance, 0.0,
-                        witness, 1.0, [0.0] * cfg.starts, [0] * cfg.starts, "zero_matrix")
+                        witness, 1.0, [0.0] * n, [0] * n, "zero_matrix")
 
 
-def _phase(z: np.ndarray, mod: np.ndarray, fallback) -> np.ndarray:
-    """z / |z| entrywise, given mod = |z|, taking ``fallback`` where z = 0."""
-    if mod.min() >= _TINY:
-        return z / mod
-    # complex division by a subnormal modulus overflows; the angle does not
-    # (-1j * -angle keeps the sign of a zero angle, 1j * angle drops it)
-    return np.where(mod > 0, np.exp(-1j * -np.angle(z)), fallback)
+def _normalize(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write z / ||z|| over the last axis into ``out``, which keeps its value
+    where z = 0, and return the norms (last axis kept, of length 1)."""
+    norms = np.abs(z) if z.shape[-1] == 1 else np.linalg.norm(z, axis=-1, keepdims=True)
+    if np.minimum.reduce(norms.ravel()) >= _SMALL:
+        np.divide(z, norms, out=out)
+        return norms
+    # the squares in np.linalg.norm underflow and complex division by a
+    # subnormal overflows: scale each vector by an exact power of two first
+    nonzero = np.any(z, axis=-1)
+    w = z[nonzero]
+    _, e = np.frexp(np.abs(w).max(axis=-1, keepdims=True))
+    w = np.ldexp(w.real, -e) + 1j * np.ldexp(w.imag, -e)
+    w_norms = np.linalg.norm(w, axis=-1, keepdims=True)
+    out[nonzero] = w / w_norms
+    norms[nonzero] = np.ldexp(w_norms, e)
+    return norms
+
+
+def _alternate(b, xy, q, cap, threshold):
+    """Alternate y <- unit(b^H x), x <- unit(b y) on a (2, d, m, k) block of starts.
+
+    ``xy[0][i, s]`` is x_i of start s and ``xy[1][j, s]`` is y_j; ``q`` holds each
+    start's value before the first round.  A round sets q = sum_i ||(b y)_i||,
+    which never decreases.  A start leaves the block once a round changes its
+    value by less than ``threshold``; all stop after ``cap`` rounds.  Returns
+    the vectors, the values, the rounds per start and the indices of the
+    starts the cap cut off.
+    """
+    xy = np.ascontiguousarray(xy)                    # so that x2 and y2 below are views
+    d, m = xy.shape[1:3]
+    b_h = b.conj().T
+    out, q_out, used = np.empty_like(xy), np.empty(m), np.zeros(m, dtype=int)
+    live = np.arange(m)                              # starts still in the block
+    rounds = 0
+    x, y = xy[0], xy[1]
+    x2, y2 = x.reshape(d, -1), y.reshape(d, -1)
+    while live.size and rounds < cap:
+        rounds += 1
+        _normalize((b_h @ x2).reshape(y.shape), y)
+        norms = _normalize((b @ y2).reshape(x.shape), x)
+        q, q_prev = np.add.reduce(norms[..., 0], axis=0), q
+        gain = q - q_prev
+        if np.minimum.reduce(gain) < threshold:       # needed for any |gain| < threshold
+            # write the block back by index, then drop the settled starts
+            out[:, :, live], q_out[live], used[live] = xy, q, rounds
+            keep = np.abs(gain) >= threshold
+            xy, q, live = xy.compress(keep, axis=2), q[keep], live[keep]
+            x, y = xy[0], xy[1]
+            x2, y2 = x.reshape(d, -1), y.reshape(d, -1)
+    out[:, :, live], q_out[live], used[live] = xy, q, rounds
+    return out, q_out, used, live
 
 
 def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
     """Lower-bound the polydisc supremum g(theta) by explicit torus witnesses.
 
     For fixed t the optimal s is s_i = conj phase((theta t)_i), and for fixed
-    s the optimal t is t_j = conj phase((theta^T s)_j); alternating the two
-    closed-form half-steps never decreases F(t) = sum_i |(theta t)_i|.  Each
-    seeded start runs as four rows (its phases and their conjugates, each
-    taken once as t and once as s), and all rows alternate together on theta
-    scaled by ``pow2_normalize`` until none improves by more than
-    1e-3 * ``phase_tolerance`` or d * ``max_iterations`` rounds have run.  A
-    round carries conj(s) and uses conj(theta), so it conjugates nothing, and
-    |theta t| gives both F and the next s.  When the phases of theta split as chi_i + psi_j (``phase_system_solvable``),
+    s the optimal t is t_j = conj phase((theta^T s)_j): ``_alternate`` with
+    vectors of dimension 1, x = conj(s) and y = t, which never decreases
+    F(t) = sum_i |(theta t)_i|.  Each seeded start runs as four rows (its
+    phases and their conjugates, each taken once as t and once as s) on theta
+    scaled by ``pow2_normalize``; a row stops once a round changes F by less
+    than 1e-3 * ``phase_tolerance``, or after d * ``max_iterations`` rounds.
+    When the phases of theta split as chi_i + psi_j (``phase_system_solvable``),
     t = exp(-i psi) attains ||theta||_1 and is the witness unless a row beats
     it.  The result is a deterministic function of (matrix, config).
     """
@@ -253,37 +296,21 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
     n = cfg.starts
     if not np.any(a):
         ones = PolydiscTuple(np.ones(d)).validate()
-        return _zero_matrix_run(cfg, (ones, ones))
+        return _zero_matrix_run(cfg, n, (ones, ones))
 
     b, unit = pow2_normalize(a)
-    b_conj, b_t = b.conj(), b.T
-    seeded = _initial_phases(cfg, d)
-    phases = np.vstack([seeded, seeded.conj()])
-    # row blocks of n: phases as t, then as s (t = conj phase(theta^T s))
-    z = phases @ b
-    t = np.vstack([phases, _phase(z.conj(), np.abs(z), phases)])
-    r = t @ b_t                       # rows: (theta t) / unit per row
-    mod = np.abs(r)
-    f = mod.sum(axis=1)
-    threshold = 1e-3 * cfg.phase_tolerance
-    improvement = np.full(4 * n, np.inf)
-    last_gain = np.zeros(4 * n, dtype=int)
-    rounds = 0
-    while rounds < d * cfg.max_iterations:
-        # conj(s) = phase(r) and t = conj phase(s b) = phase(conj(s) conj(b))
-        w = _phase(r, mod, 1.0) @ b_conj
-        t = _phase(w, np.abs(w), t)
-        r = t @ b_t
-        mod = np.abs(r)
-        f_new = mod.sum(axis=1)
-        improvement, f = f_new - f, f_new
-        rounds += 1
-        last_gain[improvement > threshold] = rounds
-        if improvement.max() <= threshold:
-            break
+    seeded = _initial_phases(cfg, d).T
+    phases = np.hstack([seeded, seeded.conj()])     # (d, 2n)
+    # rows 0..2n-1 take the phases as t, rows 2n..4n-1 as s; y keeps its
+    # start where a column of theta is zero
+    xy = np.ones((2, d, 4 * n, 1), dtype=complex)
+    xy[1, :, :, 0] = np.hstack([phases, phases])
+    xy[0, :, 2 * n:, 0] = phases.conj()
+    q = np.full(4 * n, -np.inf)
+    q[:2 * n] = _normalize((b @ phases)[..., None], xy[0, :, :2 * n]).sum(axis=(0, 2))
+    xy, q, used, cut = _alternate(b, xy, q, d * cfg.max_iterations, 1e-3 * cfg.phase_tolerance)
 
-    used = np.minimum(last_gain + 1, rounds).reshape(4, n)
-    t_best = t[int(f.argmax())]       # deterministic tie-break on row index
+    t_best = xy[1, :, int(q.argmax()), 0]            # deterministic tie-break on row index
     split = phase_system_solvable(b)
     if split.solvable:
         # the forest phases attain ||theta||_1; weakly coupled rows converge slowly
@@ -291,9 +318,9 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
         if np.abs(b @ t_split).sum() > np.abs(b @ t_best).sum():
             t_best = t_split
     r_best = b @ t_best
-    s_best = _phase(r_best.conj(), np.abs(r_best), 1.0)
+    s_best = np.ones(d, dtype=complex)
+    _normalize(r_best.conj()[:, None], s_best[:, None])
     witness = (PolydiscTuple(s_best).validate(), PolydiscTuple(t_best).validate())
-    converged = (improvement < cfg.phase_tolerance).reshape(4, n).all(axis=0)
     return OptimizerRun(
         starts=cfg.starts,
         seed=cfg.seed,
@@ -301,40 +328,33 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
         phase_tolerance=cfg.phase_tolerance,
         best_value=unit * float(np.abs(r_best).sum()),
         best_witness=witness,
-        converged_fraction=float(converged.mean()),
-        per_start_values=[unit * float(x) for x in f.reshape(4, n).max(axis=0)],
-        iterations_used=[int(k) for k in used.max(axis=0)],
-        stop_reason="tolerance" if improvement.max() <= threshold else "budget",
+        converged_fraction=1 - len(set((cut % n).tolist())) / n,
+        per_start_values=[unit * float(x) for x in q.reshape(4, n).max(axis=0)],
+        iterations_used=[int(k) for k in used.reshape(4, n).max(axis=0)],
+        stop_reason="budget" if cut.size else "tolerance",
     )
-
-
-def _q_values(theta, x, y) -> np.ndarray:
-    """|sum_ij theta_ij <x_i, y_j>| for each start of the (d, starts, d) blocks."""
-    return np.abs(np.einsum("ij,ink,jnk->n", theta, x.conj(), y))
 
 
 def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
     """Lower-bound the vector-form supremum by alternating witness improvement.
 
     With the x-vectors fixed, each optimal y_j is the normalized vector
-    sum_i conj(theta_ij) x_i, and symmetrically; both half-steps are monotone.
-    One extra start embeds the scalar witness of ``g_lower`` (same config) as
-    parallel vectors, so the result never falls below that scalar bound.  All
-    starts alternate as one (d, starts + 1, d) block on theta scaled as in
-    ``g_lower``, so a half-step is one matmul; a vector whose update is zero
-    keeps its value.  A start leaves the block once its value changes by less
-    than 1e-3 * ``phase_tolerance``.
+    sum_i conj(theta_ij) x_i, and symmetrically: ``_alternate`` with vectors
+    of dimension d.  One extra start embeds the scalar witness of ``g_lower``
+    (same config) as parallel vectors, so the result never falls below that
+    scalar bound.  All starts run as one (d, starts + 1, d) block on theta
+    scaled as in ``g_lower``, for at most ``max_iterations`` rounds.
     """
     cfg = config or OptimizerConfig()
     a = require_square(theta)
     d = a.shape[0]
-    scalar = g_lower(a, cfg)
+    n = cfg.starts + 1
     if not np.any(a):
         zero = VectorTuple.from_rows(np.zeros((d, d)))
-        return _zero_matrix_run(cfg, (zero, zero))
+        return _zero_matrix_run(cfg, n, (zero, zero))
 
-    n = cfg.starts + 1
-    xy = np.zeros((2, d, n, d), dtype=complex)      # xy[0][i, k] is x_i of start k
+    scalar = g_lower(a, cfg)
+    xy = np.zeros((2, d, n, d), dtype=complex)      # xy[0][i, s] is x_i of start s
     s_w, t_w = scalar.best_witness
     xy[0, :, 0, 0] = np.conj(s_w.values)
     xy[1, :, 0, 0] = t_w.values
@@ -342,51 +362,26 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
         rng = np.random.default_rng(cfg.seed ^ k)
         xy[0, :, k + 1] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         xy[1, :, k + 1] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    xy[:, :, 1:] /= np.linalg.norm(xy[:, :, 1:], axis=3)[..., None]
+    _normalize(xy[:, :, 1:], xy[:, :, 1:])
 
     b, unit = pow2_normalize(a)
-    b_h = b.conj().T
-    q_prev = _q_values(b, xy[0], xy[1])
-    out = np.empty_like(xy)                         # each start written back once
-    live = np.arange(n)                             # starts still in the block
-    used = np.zeros(n, dtype=int)
-    rounds = 0
-    while live.size and rounds < cfg.max_iterations:
-        rounds += 1
-        for src, m in ((0, b_h), (1, b)):           # y from x, then x from y
-            z = (m @ xy[src].reshape(d, -1)).reshape(d, -1, d)
-            norms = np.linalg.norm(z, axis=2)
-            if norms.min() > 0:
-                np.divide(z, norms[..., None], out=xy[1 - src])
-            else:
-                nonzero = norms > 0
-                xy[1 - src][nonzero] = z[nonzero] / norms[nonzero][:, None]
-        q = norms.sum(axis=0)
-        settled = np.abs(q - q_prev) < cfg.phase_tolerance * 1e-3
-        if settled.any():
-            out[:, :, live[settled]] = xy[:, :, settled]
-            used[live[settled]] = rounds
-            keep = ~settled
-            xy, q, live = np.compress(keep, xy, axis=2), q[keep], live[keep]
-        q_prev = q
-    out[:, :, live] = xy
-    used[live] = rounds
+    q = np.abs(np.einsum("ij,ink,jnk->n", b, xy[0].conj(), xy[1]))
+    xy, q, used, cut = _alternate(b, xy, q, cfg.max_iterations, 1e-3 * cfg.phase_tolerance)
 
-    q_final = unit * _q_values(b, out[0], out[1])
-    best = int(q_final.argmax())
-    witness = (VectorTuple.from_rows(out[0, :, best]).validate(),
-               VectorTuple.from_rows(out[1, :, best]).validate())
+    best = int(q.argmax())
+    witness = (VectorTuple.from_rows(xy[0, :, best]).validate(),
+               VectorTuple.from_rows(xy[1, :, best]).validate())
     return OptimizerRun(
         starts=cfg.starts,
         seed=cfg.seed,
         max_iterations=cfg.max_iterations,
         phase_tolerance=cfg.phase_tolerance,
-        best_value=float(q_final[best]),
+        best_value=unit * float(q[best]),
         best_witness=witness,
-        converged_fraction=(n - live.size) / n,
-        per_start_values=[float(v) for v in q_final],
+        converged_fraction=(n - cut.size) / n,
+        per_start_values=[unit * float(v) for v in q],
         iterations_used=[int(k) for k in used],
-        stop_reason="budget" if live.size else "tolerance",
+        stop_reason="budget" if cut.size else "tolerance",
     )
 
 

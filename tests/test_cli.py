@@ -228,6 +228,20 @@ def test_experiment_rarity_writes_jsonl(tmp_path, capsys):
     assert all(json.loads(line)["q_value"] <= 1.4049 + 1e-9 for line in lines)
 
 
+def test_experiment_rarity_out_file_matches_streamed_records(tmp_path, capsys):
+    argv = ["experiment", "rarity", "--ensemble", "random_normal",
+            "--samples", "4", "--seed", "3", "--starts", "2"]
+    code, streamed = run_cli(capsys, argv)
+    assert code == 0
+    out_path = tmp_path / "records.jsonl"
+    code, summary = run_cli(capsys, argv + ["--out", str(out_path)])
+    assert code == 0
+    records = streamed.splitlines(keepends=True)
+    assert len(records) == 5                        # four records, then the summary
+    assert out_path.read_text(encoding="utf-8") == "".join(records[:-1])
+    assert summary == records[-1]
+
+
 def test_help_exits_zero(capsys):
     assert dispatch(["--help"]) == 0
 

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 from grothq import (
     OptimizerConfig,
     eval_C,
+    eval_Q_trace,
     g_lower,
     g_upper,
     hermitian_eig,
@@ -115,12 +116,40 @@ def test_max_q_lower_witness_valid_with_zero_rows_and_columns(theta, cfg, data):
     assert close(value, run.best_value, 1e-12)
 
 
-# --- largest singular value and Hermitian eigendecomposition ---
-
 def ldexp(m, k):
     """m * 2^k, entrywise on the real and imaginary parts."""
     return np.ldexp(m.real, k) + 1j * np.ldexp(m.imag, k)
 
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(matrices(), st.sampled_from([-600, 600]), configs)
+def test_max_q_lower_scales_exactly_by_powers_of_two(m, j, cfg):
+    # theta and 2^j theta normalize to the same matrix; for j < 0 theta is
+    # built as 2^-j times a scaled-down m, so that 2^j theta is exact
+    theta = ldexp(ldexp(m, j), -j) if j < 0 else m
+    run, scaled = max_q_lower(theta, cfg), max_q_lower(ldexp(theta, j), cfg)
+    assert scaled.best_value == 2.0 ** j * run.best_value
+    assert scaled.per_start_values == [2.0 ** j * v for v in run.per_start_values]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(matrices(), configs, st.integers(0, 5), st.booleans(), st.sampled_from([1e-300, 1e-160]))
+def test_max_q_lower_witness_valid_with_tiny_row_or_column(theta, cfg, index, row, scale):
+    # the tiny line's updates have norms whose squares underflow
+    index %= theta.shape[0]
+    if row:
+        theta[index, :] *= scale
+    else:
+        theta[:, index] *= scale
+    run = max_q_lower(theta, cfg)
+    x, y = run.best_witness
+    x.validate()
+    y.validate()
+    assert close(eval_Q_trace(theta, y.scaled(), x.scaled()), run.best_value, 1e-12)
+    assert run.best_value >= g_lower(theta, cfg).best_value * (1 - 1e-12) - 1e-12 * TINY
+
+
+# --- largest singular value and Hermitian eigendecomposition ---
 
 @PROPERTY
 @given(matrices())
