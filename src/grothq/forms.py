@@ -10,6 +10,7 @@ never 1.4049 * g(theta).
 """
 
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -47,6 +48,7 @@ __all__ = [
 K_G_UPPER = 1.4049
 
 _SMALL = np.sqrt(np.finfo(float).tiny)   # below it, squared moduli underflow
+_PHASE_CACHE_SIZE = 32                   # (seed, starts, d) start sets kept by _seeded_phases
 
 
 @dataclass
@@ -212,9 +214,19 @@ class OptimizerRun:
 
 
 def _initial_phases(config: OptimizerConfig, d: int) -> np.ndarray:
-    angles = [np.random.default_rng(config.seed ^ s).uniform(-np.pi, np.pi, d)
-              for s in range(config.starts)]
-    return np.exp(1j * np.array(angles))
+    """The seeded start phases of ``config`` in dimension d: a shared,
+    read-only (starts, d) array, drawn once per (seed, starts, d)."""
+    return _seeded_phases(config.seed, config.starts, d)
+
+
+@lru_cache(maxsize=_PHASE_CACHE_SIZE)
+def _seeded_phases(seed: int, starts: int, d: int) -> np.ndarray:
+    # one generator per start, so start s is the same whatever the number of starts
+    angles = [np.random.default_rng(seed ^ s).uniform(-np.pi, np.pi, d)
+              for s in range(starts)]
+    phases = np.exp(1j * np.array(angles))
+    phases.flags.writeable = False
+    return phases
 
 
 def _zero_matrix_run(cfg: OptimizerConfig, n: int, witness: tuple) -> OptimizerRun:
@@ -222,20 +234,25 @@ def _zero_matrix_run(cfg: OptimizerConfig, n: int, witness: tuple) -> OptimizerR
                         witness, 1.0, [0.0] * n, [0] * n, "zero_matrix")
 
 
+def _norms(z: np.ndarray) -> np.ndarray:
+    """||z|| over the last axis, kept: np.linalg.norm's formula without its dispatch."""
+    return np.sqrt(np.add.reduce((z.conj() * z).real, axis=-1, keepdims=True))
+
+
 def _normalize(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write z / ||z|| over the last axis into ``out``, which keeps its value
     where z = 0, and return the norms (last axis kept, of length 1)."""
-    norms = np.abs(z) if z.shape[-1] == 1 else np.linalg.norm(z, axis=-1, keepdims=True)
+    norms = np.abs(z) if z.shape[-1] == 1 else _norms(z)
     if np.minimum.reduce(norms.ravel()) >= _SMALL:
         np.divide(z, norms, out=out)
         return norms
-    # the squares in np.linalg.norm underflow and complex division by a
+    # the squares in _norms underflow and complex division by a
     # subnormal overflows: scale each vector by an exact power of two first
     nonzero = np.any(z, axis=-1)
     w = z[nonzero]
     _, e = np.frexp(np.abs(w).max(axis=-1, keepdims=True))
     w = np.ldexp(w.real, -e) + 1j * np.ldexp(w.imag, -e)
-    w_norms = np.linalg.norm(w, axis=-1, keepdims=True)
+    w_norms = _norms(w)
     out[nonzero] = w / w_norms
     norms[nonzero] = np.ldexp(w_norms, e)
     return norms
@@ -359,9 +376,9 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
     xy[0, :, 0, 0] = np.conj(s_w.values)
     xy[1, :, 0, 0] = t_w.values
     for k in range(cfg.starts):
-        rng = np.random.default_rng(cfg.seed ^ k)
-        xy[0, :, k + 1] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        xy[1, :, k + 1] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        r = np.random.default_rng(cfg.seed ^ k).standard_normal((4, d, d))
+        xy[0, :, k + 1] = r[0] + 1j * r[1]
+        xy[1, :, k + 1] = r[2] + 1j * r[3]
     _normalize(xy[:, :, 1:], xy[:, :, 1:])
 
     b, unit = pow2_normalize(a)

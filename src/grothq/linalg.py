@@ -47,7 +47,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise InputValidationError(f"expected a 2-D matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():               # complex: False if either part is nan or inf
         raise InputValidationError("matrix contains non-finite entries")
     return a
 

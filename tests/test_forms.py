@@ -26,6 +26,7 @@ from grothq import (
     to_unit_s,
     torus_witness,
 )
+from grothq import forms
 from grothq.ensembles import complex_gaussian, random_normal_matrix, random_unitary
 
 
@@ -211,6 +212,61 @@ def test_g_lower_deterministic():
     assert r1.best_value == r2.best_value
     assert r1.per_start_values == r2.per_start_values
     assert np.array_equal(r1.best_witness[1].values, r2.best_witness[1].values)
+
+
+def _fresh_phases(seed, starts, d):
+    return np.exp(1j * np.array([np.random.default_rng(seed ^ s).uniform(-np.pi, np.pi, d)
+                                 for s in range(starts)]))
+
+
+def test_seeded_phases_equal_fresh_per_start_draws():
+    for seed, starts, d in ((0, 1, 2), (123, 16, 6), (2**40 + 5, 7, 3)):
+        cfg = OptimizerConfig(starts=starts, seed=seed)
+        fresh = _fresh_phases(seed, starts, d)
+        phases = forms._initial_phases(cfg, d)
+        assert phases.shape == (starts, d)
+        assert phases.tobytes() == fresh.tobytes()
+        assert forms._initial_phases(cfg, d) is phases
+        forms._seeded_phases.cache_clear()
+        assert forms._initial_phases(cfg, d).tobytes() == fresh.tobytes()
+
+
+def test_seeded_phases_are_read_only():
+    phases = forms._initial_phases(OptimizerConfig(starts=3, seed=9), 4)
+    with pytest.raises(ValueError):
+        phases[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        phases.T[1] *= 1j
+
+
+def test_g_lower_draws_start_phases_once_per_config(monkeypatch):
+    built = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed=None):
+        built.append(seed)
+        return default_rng(seed)
+
+    theta = complex_gaussian(np.random.default_rng(31), 4)
+    cfg = OptimizerConfig(starts=5, seed=7010)
+    forms._seeded_phases.cache_clear()
+    g_lower(theta, cfg)
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    g_lower(theta, cfg)
+    assert built == []
+    g_lower(theta, OptimizerConfig(starts=5, seed=7011))
+    assert built == [7011 ^ s for s in range(5)]
+
+
+def test_results_same_with_cold_and_warm_phase_cache():
+    theta = complex_gaussian(np.random.default_rng(32), 6)
+    cfg = OptimizerConfig(starts=8, seed=55)
+    forms._seeded_phases.cache_clear()
+    cold = g_lower(theta, cfg), classify(theta, cfg)
+    warm = g_lower(theta, cfg), classify(theta, cfg)
+    assert cold[0].per_start_values == warm[0].per_start_values
+    assert cold[0].to_dict() == warm[0].to_dict()
+    assert cold[1].to_dict() == warm[1].to_dict()
 
 
 def test_optimizer_runs_report_rounds_and_stop_reason():

@@ -7,7 +7,9 @@ from grothq import (
     ConvergenceError,
     InputValidationError,
     build_family,
+    OptimizerConfig,
     build_projector,
+    classify,
     eigenvalue_multiplicities,
     fourier_matrix,
     hermitian_eig,
@@ -18,10 +20,33 @@ from grothq import (
     permutation_matrix,
 )
 from grothq.ensembles import complex_gaussian, random_hermitian, random_unitary
+from grothq.linalg import as_matrix
 
 
 def pi6():
     return build_projector(build_family(3)).matrix
+
+
+# --- input validation ---
+
+def _with_entry(value):
+    m = np.eye(3, dtype=complex)
+    m[1, 2] = value
+    return m
+
+
+@pytest.mark.parametrize("value", [complex(0.5, np.nan), complex(-np.inf, 0.0),
+                                   complex(np.nan, 0.0), complex(0.0, np.inf)])
+def test_as_matrix_rejects_nan_or_inf_in_either_part(value):
+    with pytest.raises(InputValidationError, match="non-finite"):
+        as_matrix(_with_entry(value))
+    with pytest.raises(InputValidationError, match="non-finite"):
+        classify(_with_entry(value), OptimizerConfig(starts=1))
+
+
+def test_as_matrix_accepts_extreme_finite_entries():
+    m = _with_entry(complex(-np.finfo(float).max, 5e-324))
+    assert np.array_equal(as_matrix(m), m)
 
 
 # --- entrywise l1 norm ---
