@@ -1,0 +1,47 @@
+"""The keys of every record's to_dict(), in order: stdout's JSON layout."""
+
+import numpy as np
+import pytest
+
+from grothq import OptimizerConfig, certify_g6, g_lower, max_q_lower, norm_report, run_h6
+from grothq.experiments import run_rarity
+
+RUN_KEYS = ["starts", "seed", "max_iterations", "phase_tolerance", "best_value",
+            "converged_fraction", "iterations_used", "stop_reason", "witness"]
+
+
+def test_experiment_record_keys():
+    assert list(run_h6(0.2).to_dict()) == [
+        "name", "parameters", "q_value", "region", "diagnostics"]
+
+
+def test_rarity_stats_keys():
+    stats = run_rarity("random_normal", samples=1, seed=0, starts=2)
+    assert list(stats.to_dict()) == [
+        "ensemble", "samples", "count_in_region", "fraction", "max_q_seen",
+        "seed", "starts", "dim"]
+
+
+def test_g6_certificate_keys():
+    doc = certify_g6(starts=2, seed=0).to_dict()
+    assert list(doc) == [
+        "starts", "seed", "general_value", "specialized_value",
+        "specialized_norm_sq_max", "agrees", "allones_norm_sq", "allones_abc",
+        "sign_flip_norm_sq", "witness_t"]
+
+
+def test_norm_report_keys():
+    assert list(norm_report(np.eye(2)).to_dict()) == [
+        "row_norms", "n_factor", "frobenius", "lower_bound", "upper_bound",
+        "is_normal", "in_S_d", "all_rows_equal", "single_nonzero_row"]
+
+
+@pytest.mark.parametrize("optimizer", [g_lower, max_q_lower])
+@pytest.mark.parametrize("theta", [np.array([[1, 2j], [0.5, -1]]), np.zeros((2, 2))],
+                         ids=["general", "zero"])
+def test_optimizer_run_keys(optimizer, theta):
+    cfg = OptimizerConfig(starts=3, seed=5, max_iterations=7, phase_tolerance=1e-9)
+    doc = optimizer(theta, cfg).to_dict()
+    assert list(doc) == RUN_KEYS
+    assert list(doc["witness"]) == ["s", "t"]
+    assert [doc[k] for k in RUN_KEYS[:4]] == [3, 5, 7, 1e-9]
