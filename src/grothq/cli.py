@@ -10,7 +10,8 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
@@ -31,23 +32,12 @@ EXIT_CONVERGENCE = 3
 
 @dataclass
 class CliConfig:
-    seed: int = 0
-    starts: int = 64
-    tolerances: dict = field(default_factory=dict)
-    output_path: str = None
-
-    def validate(self):
-        if self.starts < 1:
-            raise InputValidationError("starts must be >= 1")
-        if self.seed < 0:
-            raise InputValidationError("seed must be a non-negative integer")
-        for key, val in self.tolerances.items():
-            if not isinstance(val, (int, float)) or val <= 0:
-                raise InputValidationError(f"tolerance {key!r} must be positive")
-        return self
+    optimizer: forms.OptimizerConfig = field(default_factory=forms.OptimizerConfig)
+    output_path: Optional[str] = None
 
 
 def load_config(path) -> CliConfig:
+    """Type-check the config file's JSON; OptimizerConfig checks the ranges."""
     if path is None:
         return CliConfig()
     try:
@@ -59,13 +49,21 @@ def load_config(path) -> CliConfig:
         raise InputValidationError(f"malformed config JSON in {path}: {exc}")
     if not isinstance(doc, dict):
         raise InputValidationError("config must be a JSON object")
-    cfg = CliConfig(
-        seed=doc.get("seed", 0),
-        starts=doc.get("starts", 64),
-        tolerances=doc.get("tolerances", {}),
-        output_path=doc.get("output_path"),
-    )
-    return cfg.validate()
+    settings = {key: doc[key] for key in ("seed", "starts") if key in doc}
+    for key, val in settings.items():
+        if not matrix_io.is_json_int(val):
+            raise InputValidationError(f"{key!r} must be an integer, got {val!r}")
+    tol = doc.get("tolerances", {})
+    if not isinstance(tol, dict) or not all(map(matrix_io.is_finite_number, tol.values())):
+        raise InputValidationError("'tolerances' must be an object of finite numbers")
+    if "max_iterations" in tol:
+        settings["max_iterations"] = int(tol["max_iterations"])
+    if "phase_tolerance" in tol:
+        settings["phase_tolerance"] = float(tol["phase_tolerance"])
+    output_path = doc.get("output_path")
+    if output_path is not None and not isinstance(output_path, str):
+        raise InputValidationError(f"'output_path' must be a string, got {output_path!r}")
+    return CliConfig(forms.OptimizerConfig(**settings), output_path)
 
 
 def parse_matrix_file(path: str) -> np.ndarray:
@@ -75,18 +73,6 @@ def parse_matrix_file(path: str) -> np.ndarray:
 
 def _emit(doc: dict):
     print(json.dumps(doc))
-
-
-def _optimizer_config(args, cli_cfg: CliConfig) -> forms.OptimizerConfig:
-    starts = getattr(args, "starts", None)
-    seed = getattr(args, "seed", None)
-    tol = cli_cfg.tolerances
-    return forms.OptimizerConfig(
-        starts=starts if starts is not None else cli_cfg.starts,
-        seed=seed if seed is not None else cli_cfg.seed,
-        max_iterations=int(tol.get("max_iterations", 200)),
-        phase_tolerance=float(tol.get("phase_tolerance", 1e-10)),
-    )
 
 
 def cmd_norms(args, cli_cfg):
@@ -110,7 +96,7 @@ def cmd_gbound(args, cli_cfg):
 
 def cmd_classify(args, cli_cfg):
     m = parse_matrix_file(args.matrix)
-    cfg = _optimizer_config(args, cli_cfg)
+    cfg = cli_cfg.optimizer
     result = forms.classify(m, cfg)
     doc = result.to_dict()
     doc["optimizer"] = {"starts": cfg.starts, "seed": cfg.seed}
@@ -166,25 +152,21 @@ def cmd_projector(args, cli_cfg):
 
 def cmd_experiment(args, cli_cfg):
     kind = args.kind
+    cfg = cli_cfg.optimizer
     if kind == "h6":
         _emit(experiments.run_h6(args.lam).to_dict())
     elif kind == "h12":
         _emit(experiments.run_h12(args.lam).to_dict())
     elif kind == "g6":
-        starts = args.starts if args.starts is not None else cli_cfg.starts
-        seed = args.seed if args.seed is not None else cli_cfg.seed
-        _emit(experiments.certify_g6(starts=starts, seed=seed).to_dict())
+        _emit(experiments.certify_g6(starts=cfg.starts, seed=cfg.seed).to_dict())
     elif kind == "bounded":
-        seed = args.seed if args.seed is not None else cli_cfg.seed
-        _emit(experiments.run_bounded_demo(args.dim, args.samples, seed).to_dict())
+        _emit(experiments.run_bounded_demo(args.dim, args.samples, cfg.seed).to_dict())
     elif kind == "rarity":
-        seed = args.seed if args.seed is not None else cli_cfg.seed
-        starts = args.starts if args.starts is not None else cli_cfg.starts
         out_path = args.out or cli_cfg.output_path
         # records go to the --out file when given, else to stdout before the summary
         with open(out_path, "a", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
             stats = experiments.run_rarity(
-                args.ensemble, args.samples, seed, starts, dim=args.dim,
+                args.ensemble, args.samples, cfg.seed, cfg.starts, dim=args.dim,
                 sink=lambda record: fh.write(json.dumps(record) + "\n"))
         _emit(stats.to_dict())
     else:  # pragma: no cover - argparse restricts choices
@@ -264,6 +246,9 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         cli_cfg = load_config(args.config)
+        overrides = {key: getattr(args, key) for key in ("seed", "starts")
+                     if getattr(args, key, None) is not None}
+        cli_cfg.optimizer = replace(cli_cfg.optimizer, **overrides)
         args.func(args, cli_cfg)
     except InputValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ sampling study of how rare trace-form values above 1 are.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -63,13 +63,7 @@ class ExperimentRecord:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "parameters": self.parameters,
-            "q_value": self.q_value,
-            "region": self.region,
-            "diagnostics": self.diagnostics,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -84,16 +78,7 @@ class RarityStats:
     dim: int
 
     def to_dict(self) -> dict:
-        return {
-            "ensemble": self.ensemble,
-            "samples": self.samples,
-            "count_in_region": self.count_in_region,
-            "fraction": self.fraction,
-            "max_q_seen": self.max_q_seen,
-            "seed": self.seed,
-            "starts": self.starts,
-            "dim": self.dim,
-        }
+        return asdict(self)
 
 
 def _projector_for(d: int) -> np.ndarray:
@@ -187,18 +172,7 @@ class G6Certificate:
     witness_t: list
 
     def to_dict(self) -> dict:
-        return {
-            "starts": self.starts,
-            "seed": self.seed,
-            "general_value": self.general_value,
-            "specialized_value": self.specialized_value,
-            "specialized_norm_sq_max": self.specialized_norm_sq_max,
-            "agrees": self.agrees,
-            "allones_norm_sq": self.allones_norm_sq,
-            "allones_abc": list(self.allones_abc),
-            "sign_flip_norm_sq": self.sign_flip_norm_sq,
-            "witness_t": self.witness_t,
-        }
+        return asdict(self)
 
 
 def _h6_component_sums(t: np.ndarray):

@@ -147,9 +147,10 @@ def g_upper(theta) -> float:
     return min(norm_entrywise_l1(a), g_prime(a))
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
-    """Multistart configuration shared by the polydisc and vector optimizers."""
+    """Multistart configuration shared by the polydisc and vector optimizers;
+    frozen, because every run it makes holds it."""
     starts: int = 64
     seed: int = 0
     max_iterations: int = 200       # alternation cap (g_lower: d times this many rounds)
@@ -161,8 +162,10 @@ class OptimizerConfig:
             raise InputValidationError("starts must be >= 1")
         if self.seed < 0:
             raise InputValidationError("seed must be a non-negative integer")
+        if self.max_iterations < 1:
+            raise InputValidationError("max_iterations must be >= 1")
         if self.phase_tolerance <= 0:
-            raise InputValidationError("tolerances must be positive")
+            raise InputValidationError("phase_tolerance must be positive")
 
 
 @dataclass
@@ -177,10 +180,7 @@ class OptimizerRun:
     settled when all four have.  ``stop_reason``: "tolerance" (every start
     settled), "budget" (the cap cut at least one) or "zero_matrix".
     """
-    starts: int
-    seed: int
-    max_iterations: int
-    phase_tolerance: float
+    config: OptimizerConfig
     best_value: float
     best_witness: tuple
     converged_fraction: float
@@ -201,10 +201,7 @@ class OptimizerRun:
                                      for row in part.unit_vectors],
                 }
         return {
-            "starts": self.starts,
-            "seed": self.seed,
-            "max_iterations": self.max_iterations,
-            "phase_tolerance": self.phase_tolerance,
+            **asdict(self.config),
             "best_value": self.best_value,
             "converged_fraction": self.converged_fraction,
             "iterations_used": self.iterations_used,
@@ -230,8 +227,7 @@ def _seeded_phases(seed: int, starts: int, d: int) -> np.ndarray:
 
 
 def _zero_matrix_run(cfg: OptimizerConfig, n: int, witness: tuple) -> OptimizerRun:
-    return OptimizerRun(cfg.starts, cfg.seed, cfg.max_iterations, cfg.phase_tolerance, 0.0,
-                        witness, 1.0, [0.0] * n, [0] * n, "zero_matrix")
+    return OptimizerRun(cfg, 0.0, witness, 1.0, [0.0] * n, [0] * n, "zero_matrix")
 
 
 def _norms(z: np.ndarray) -> np.ndarray:
@@ -339,10 +335,7 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
     _normalize(r_best.conj()[:, None], s_best[:, None])
     witness = (PolydiscTuple(s_best).validate(), PolydiscTuple(t_best).validate())
     return OptimizerRun(
-        starts=cfg.starts,
-        seed=cfg.seed,
-        max_iterations=cfg.max_iterations,
-        phase_tolerance=cfg.phase_tolerance,
+        config=cfg,
         best_value=unit * float(np.abs(r_best).sum()),
         best_witness=witness,
         converged_fraction=1 - len(set((cut % n).tolist())) / n,
@@ -389,10 +382,7 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
     witness = (VectorTuple.from_rows(xy[0, :, best]).validate(),
                VectorTuple.from_rows(xy[1, :, best]).validate())
     return OptimizerRun(
-        starts=cfg.starts,
-        seed=cfg.seed,
-        max_iterations=cfg.max_iterations,
-        phase_tolerance=cfg.phase_tolerance,
+        config=cfg,
         best_value=unit * float(q[best]),
         best_witness=witness,
         converged_fraction=(n - cut.size) / n,

@@ -6,14 +6,28 @@ Wire schema (used by every CLI subcommand):
 """
 
 import json
-import math
 import os
+import sys
 
 import numpy as np
 
 from .linalg import InputValidationError, as_matrix
 
 __all__ = ["matrix_to_dict", "matrix_from_dict", "load_matrix", "save_matrix"]
+
+
+def is_json_int(x) -> bool:
+    """A JSON integer: bool subclasses int in Python but is not a JSON number."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_json_number(x) -> bool:
+    return is_json_int(x) or isinstance(x, float)
+
+
+def is_finite_number(x) -> bool:
+    """A JSON number a float holds finitely: not nan, not +-inf, no int past float range."""
+    return is_json_number(x) and abs(x) <= sys.float_info.max
 
 
 def matrix_to_dict(m) -> dict:
@@ -29,7 +43,7 @@ def matrix_from_dict(doc) -> np.ndarray:
         if key not in doc:
             raise InputValidationError(f"matrix document missing key '{key}'")
     rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if not is_json_int(rows) or not is_json_int(cols) or rows < 1 or cols < 1:
         raise InputValidationError("'rows' and 'cols' must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         got = len(entries) if isinstance(entries, list) else "non-list"
@@ -38,12 +52,11 @@ def matrix_from_dict(doc) -> np.ndarray:
     flat = np.empty(rows * cols, dtype=complex)
     for i, pair in enumerate(entries):
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)):
+                or not all(map(is_json_number, pair))):
             raise InputValidationError(f"entry {i} is not a [re, im] pair: {pair!r}")
-        re, im = float(pair[0]), float(pair[1])
-        if not (math.isfinite(re) and math.isfinite(im)):
+        if not all(map(is_finite_number, pair)):
             raise InputValidationError(f"entry {i} is non-finite: {pair!r}")
-        flat[i] = complex(re, im)
+        flat[i] = complex(float(pair[0]), float(pair[1]))
     return flat.reshape(rows, cols)
 
 

@@ -6,7 +6,7 @@ bound machinery.  All bounds here are exact matrix identities, so the checks
 carry tight tolerances.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,21 +58,9 @@ class NormReport:
     in_S_d: bool
     all_rows_equal: bool     # when true the lower bound is tight
     single_nonzero_row: bool  # when true the upper bound is tight
-    extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "row_norms": [float(x) for x in self.row_norms],
-            "n_factor": self.n_factor,
-            "frobenius": self.frobenius,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "is_normal": self.is_normal,
-            "in_S_d": self.in_S_d,
-            "all_rows_equal": self.all_rows_equal,
-            "single_nonzero_row": self.single_nonzero_row,
-            **self.extras,
-        }
+        return asdict(self)
 
 
 def norm_report(m, normal_tol: float = 1e-12) -> NormReport:

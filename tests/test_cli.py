@@ -59,6 +59,31 @@ def test_parse_matrix_nonfinite_entry(tmp_path):
         parse_matrix_file(str(path))
 
 
+@pytest.mark.parametrize("doc", [
+    {"rows": True, "cols": True, "entries": [[1, 0]]},
+    {"rows": 1, "cols": 1, "entries": [[True, False]]},
+], ids=["shape", "entry"])
+def test_parse_matrix_rejects_booleans(tmp_path, doc):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputValidationError):
+        parse_matrix_file(str(path))
+
+
+def test_parse_matrix_int_beyond_float_range(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"rows": 1, "cols": 1, "entries": [[1%s, 0]]}' % ("0" * 400))
+    with pytest.raises(InputValidationError, match="non-finite"):
+        parse_matrix_file(str(path))
+
+
+def test_gbound_exit_2_on_boolean_matrix(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"rows": True, "cols": True, "entries": [[True, False]]}))
+    assert dispatch(["gbound", "--matrix", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_exit_2_on_bad_matrix(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("[]")
@@ -302,6 +327,41 @@ def test_config_rejects_bad_tolerance(tmp_path, capsys):
     path = write_matrix(tmp_path, "m.json", np.eye(2))
     code, _ = run_cli(capsys, ["--config", str(cfg), "norms", "--matrix", path])
     assert code == 2
+
+
+def test_cli_seed_and_starts_override_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 9, "starts": 3}))
+    path = write_matrix(tmp_path, "m.json", np.eye(2) * 0.4)
+    code, out = run_cli(capsys, ["--config", str(cfg), "classify", "--matrix", path,
+                                 "--seed", "2"])
+    assert code == 0
+    assert json.loads(out)["optimizer"] == {"starts": 3, "seed": 2}
+
+
+@pytest.mark.parametrize("doc, argv", [
+    ({"seed": "abc"}, ["norms"]),
+    ({"seed": 1e30}, ["classify"]),
+    ({"starts": 2.5}, ["experiment", "rarity", "--ensemble", "random_normal",
+                       "--samples", "1"]),
+    ({"tolerances": [1, 2]}, ["classify"]),
+    ({"tolerances": {"max_iterations": True}}, ["classify"]),
+    ({"tolerances": {"phase_tolerance": float("nan")}}, ["classify"]),
+    ({"tolerances": {"max_iterations": 0}}, ["classify"]),
+    ({"output_path": 5}, ["experiment", "rarity", "--ensemble", "random_normal",
+                          "--samples", "1"]),
+], ids=["seed_string", "seed_float", "starts_float", "tolerances_list",
+        "tolerance_boolean", "tolerance_nan", "max_iterations_zero", "output_path_int"])
+def test_config_rejects_malformed_values(tmp_path, capsys, doc, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    path = write_matrix(tmp_path, "m.json", np.eye(2) * 0.4)
+    if argv[0] != "experiment":
+        argv = argv + ["--matrix", path]
+    assert dispatch(["--config", str(cfg)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_json_output_round_trips(tmp_path, capsys):

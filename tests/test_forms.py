@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -291,6 +292,22 @@ def test_optimizer_runs_report_rounds_and_stop_reason():
         run = optimizer(np.zeros((3, 3)), cfg)
         assert run.stop_reason == "zero_matrix"
         assert run.iterations_used == [0] * n_starts
+
+
+@pytest.mark.parametrize("field, value", [
+    ("starts", 0), ("seed", -1), ("max_iterations", 0), ("phase_tolerance", 0.0)])
+def test_optimizer_config_rejects_out_of_range(field, value):
+    with pytest.raises(InputValidationError, match=field):
+        OptimizerConfig(**{field: value})
+
+
+def test_optimizer_run_carries_its_config():
+    cfg = OptimizerConfig(starts=2, seed=3)
+    for theta in (np.eye(2), np.zeros((2, 2))):
+        assert g_lower(theta, cfg).config is cfg
+        assert max_q_lower(theta, cfg).config is cfg
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.seed = 4
 
 
 def test_g_lower_bound_chain_sample():
