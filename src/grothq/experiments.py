@@ -8,7 +8,7 @@ sampling study of how rare trace-form values above 1 are.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -163,7 +163,7 @@ class G6Certificate:
     starts: int
     seed: int
     general_value: float            # torus coordinate-ascent route
-    specialized_value: float        # 12-variable (R, chi) route, halved
+    specialized_value: float        # phase ascent on the component sums, halved
     specialized_norm_sq_max: float  # max of (A^2 + B^2 + C^2)/2
     agrees: bool
     allones_norm_sq: float          # value at t = (1,...,1): 10
@@ -175,51 +175,64 @@ class G6Certificate:
         return asdict(self)
 
 
+# rows of A: sum_j t_j a_j has the three components A t for the d = 3 states
+_H6_ROWS = np.array([[1, 1, 0, 1, 1, 0],
+                     [1, 0, 1, -1, 0, 1],
+                     [0, 1, 1, 0, -1, -1]], dtype=float)
+_H6_GRAM = _H6_ROWS.T @ _H6_ROWS
+
+
 def _h6_component_sums(t: np.ndarray):
     """Moduli (A, B, C) of the three component sums of sum_j t_j a_j, d = 3."""
-    a = abs(t[0] + t[1] + t[3] + t[4])
-    b = abs(t[0] + t[2] - t[3] + t[5])
-    c = abs(t[1] + t[2] - t[4] - t[5])
-    return float(a), float(b), float(c)
+    return tuple(float(x) for x in np.abs(_H6_ROWS @ t))
 
 
-def _h6_norm_sq(t: np.ndarray) -> float:
-    a, b, c = _h6_component_sums(t)
-    return (a * a + b * b + c * c) / 2.0
+def _h6_norm_sq(t: np.ndarray) -> np.ndarray:
+    """f(t) = ||A t||^2 / 2 along the last axis of t."""
+    return np.sum(np.abs(t @ _H6_ROWS.T) ** 2, axis=-1) / 2.0
+
+
+def _h6_phase_ascent(t: np.ndarray, max_rounds: int = 2000):
+    """Maximize f(t) = ||A t||^2 / 2 from each row of t (points of the polydisc).
+
+    Every round sets t <- phase(A^T A t) for all rows at once, keeping t_j where
+    (A^T A t)_j = 0.  The new point maximizes the linearization of f at t over
+    the polydisc, and f is convex, so f never decreases and its maximum lies on
+    the torus.  Stops once no row's value moved by more than 1e-15 relative (a
+    rule on "no row increased" would run to the cap on one-ulp flips), or after
+    ``max_rounds`` rounds.  Returns the final points and their values.
+    """
+    values = _h6_norm_sq(t)
+    for _ in range(max_rounds):
+        g = t @ _H6_GRAM
+        t = np.where(g != 0, np.exp(1j * np.angle(g)), t)
+        previous, values = values, _h6_norm_sq(t)
+        if np.all(np.abs(values - previous) <= 1e-15 * np.abs(previous)):
+            break
+    return t, values
 
 
 def certify_g6(starts: int = 64, seed: int = 0, tol: float = 1e-6) -> G6Certificate:
     """Cross-check the classical supremum of Pi_6 along two routes.
 
     Route 1 maximizes F(t) = sum_i |(Pi t)_i| on the torus (the general
-    optimizer).  Route 2 maximizes ||sum_j t_j a_j||^2 / 2 over the twelve
-    bounded variables (R_i, chi_i) with a gradient method, mirroring the
-    direct parameterization of the state sums.  The routes must agree within
-    ``tol``; disagreement raises ConsistencyError.
+    optimizer).  Route 2 maximizes ||sum_j t_j a_j||^2 / 2 = ||A t||^2 / 2,
+    the component sums of the state vectors, by a phase ascent that shares no
+    code with route 1 (``_h6_phase_ascent``).  Its start 0 is t = (1,...,1);
+    start i >= 1 is R e^(i chi), with R in [0, 1)^6 and chi in [-pi, pi)^6
+    drawn from ``default_rng(seed ^ i)``.  The all-ones start is a fixed point
+    of the ascent at ||A t||^2 / 2 = 10, so ``starts=1`` always disagrees.
+    The routes must agree within ``tol``; disagreement raises
+    ConsistencyError.
     """
-    from scipy.optimize import minimize
-
-    if starts < 1:
-        raise InputValidationError("starts must be >= 1")
-    pi = _projector_for(3)
     cfg = OptimizerConfig(starts=starts, seed=seed)
-    general = g_lower(pi, cfg)
+    general = g_lower(_projector_for(3), cfg)
 
-    def negative_objective(x):
-        t = x[:6] * np.exp(1j * x[6:])
-        return -_h6_norm_sq(t)
-
-    bounds = [(0.0, 1.0)] * 6 + [(-np.pi, np.pi)] * 6
-    best = -np.inf
-    for i in range(starts):
-        if i == 0:
-            x0 = np.concatenate([np.ones(6), np.zeros(6)])
-        else:
-            rng = np.random.default_rng(seed ^ i)
-            x0 = np.concatenate([rng.uniform(0, 1, 6), rng.uniform(-np.pi, np.pi, 6)])
-        res = minimize(negative_objective, x0, method="L-BFGS-B", bounds=bounds,
-                       options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12})
-        best = max(best, -res.fun)
+    t0 = np.ones((starts, 6), dtype=complex)
+    for i in range(1, starts):
+        rng = np.random.default_rng(seed ^ i)
+        t0[i] = rng.uniform(0, 1, 6) * np.exp(1j * rng.uniform(-np.pi, np.pi, 6))
+    best = float(_h6_phase_ascent(t0)[1].max())
 
     specialized_value = best / 2.0
     agrees = abs(general.best_value - specialized_value) <= tol
@@ -229,7 +242,6 @@ def certify_g6(starts: int = 64, seed: int = 0, tol: float = 1e-6) -> G6Certific
             f"specialized {specialized_value}")
 
     ones = np.ones(6, dtype=complex)
-    allones_abc = _h6_component_sums(ones)
     flipped = ones.copy()
     flipped[5] = -1.0
     return G6Certificate(
@@ -239,9 +251,9 @@ def certify_g6(starts: int = 64, seed: int = 0, tol: float = 1e-6) -> G6Certific
         specialized_value=specialized_value,
         specialized_norm_sq_max=best,
         agrees=agrees,
-        allones_norm_sq=_h6_norm_sq(ones),
-        allones_abc=allones_abc,
-        sign_flip_norm_sq=_h6_norm_sq(flipped),
+        allones_norm_sq=float(_h6_norm_sq(ones)),
+        allones_abc=_h6_component_sums(ones),
+        sign_flip_norm_sq=float(_h6_norm_sq(flipped)),
         witness_t=general.best_witness[1].to_list(),
     )
 
@@ -276,6 +288,8 @@ def run_bounded_demo(d: int, samples: int, seed: int) -> ExperimentRecord:
         raise InputValidationError(f"dimension must be >= 2, got {d}")
     if samples < 1:
         raise InputValidationError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise InputValidationError("seed must be a non-negative integer")
     max_trace = 0.0
     rrr_min = math.inf
     tighter_always = True
@@ -363,8 +377,7 @@ def run_rarity(ensemble: str, samples: int, seed: int, starts: int,
     """
     if samples < 1:
         raise InputValidationError(f"samples must be >= 1, got {samples}")
-    if starts < 1:
-        raise InputValidationError(f"starts must be >= 1, got {starts}")
+    base_cfg = OptimizerConfig(starts, seed, max_iterations=300)
     if dim < 2:
         raise InputValidationError(f"dimension must be >= 2, got {dim}")
     count = 0
@@ -372,8 +385,7 @@ def run_rarity(ensemble: str, samples: int, seed: int, starts: int,
     for i in range(samples):
         theta, fields = _rarity_sample(ensemble, dim, seed, i)
         opt_seed = seed ^ ((i + 1) << 20)
-        cfg = OptimizerConfig(starts=starts, seed=opt_seed, max_iterations=300)
-        q = max_q_lower(theta, cfg).best_value
+        q = max_q_lower(theta, replace(base_cfg, seed=opt_seed)).best_value
         region = kg_region_check(q)
         in_g_prime = bool(g_prime(theta) <= 1.0 + G_PRIME_TOL) if np.any(theta) else True
         record = {

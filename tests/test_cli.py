@@ -207,6 +207,13 @@ def test_experiment_h6(capsys):
     assert doc["region"] == "grothendieck"
 
 
+def test_experiment_g6_two_starts_seed_10(capsys):
+    # route 2 must not stop at the critical value 5.6667 near this seed's random start
+    code, out = run_cli(capsys, ["experiment", "g6", "--starts", "2", "--seed", "10"])
+    assert code == 0
+    assert json.loads(out)["agrees"]
+
+
 def test_experiment_h6_out_of_range_exit_2(capsys):
     code, _ = run_cli(capsys, ["experiment", "h6", "--lambda", "0.5"])
     assert code == 2

@@ -1,10 +1,13 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from grothq import (
+    ConsistencyError,
     InputValidationError,
     certify_g6,
     displacement_operator,
@@ -118,6 +121,34 @@ def test_certify_g6_serializes():
     assert set(doc) >= {"general_value", "specialized_value", "agrees", "witness_t"}
 
 
+def test_certify_g6_two_starts_agree_on_every_seed():
+    # one random start besides all-ones reaches 3 + 2 sqrt 2 for every seed
+    for seed in range(200):
+        cert = certify_g6(2, seed)
+        assert cert.agrees
+        assert cert.specialized_value == pytest.approx(3 + 2 * np.sqrt(2), abs=1e-12)
+
+
+def test_certify_g6_allones_start_alone_disagrees():
+    # the all-ones start is a fixed point of the phase ascent, at 10 / 2 = 5
+    with pytest.raises(ConsistencyError, match="specialized 5.0"):
+        certify_g6(1, 0)
+
+
+def test_certify_g6_checks_its_config():
+    with pytest.raises(InputValidationError, match="starts must be >= 1"):
+        certify_g6(0, 0)
+    with pytest.raises(InputValidationError, match="seed must be a non-negative integer"):
+        certify_g6(2, -1)
+
+
+def test_certify_g6_never_imports_scipy():
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from grothq import certify_g6; certify_g6(16, 5)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 # --- bounded families ---
 
 def test_bounded_pure_state_saturation():
@@ -153,6 +184,8 @@ def test_bounded_demo_rejects_bad_input():
         run_bounded_demo(1, 10, 0)
     with pytest.raises(InputValidationError):
         run_bounded_demo(3, 0, 0)
+    with pytest.raises(InputValidationError, match="seed must be a non-negative integer"):
+        run_bounded_demo(3, 2, -1)
 
 
 def test_displacement_operators_unitary():
@@ -201,3 +234,10 @@ def test_rarity_deterministic_records():
 def test_rarity_rejects_bad_ensemble():
     with pytest.raises(InputValidationError):
         run_rarity("bogus", samples=1, seed=0, starts=1)
+
+
+def test_rarity_rejects_bad_seed_and_starts():
+    with pytest.raises(InputValidationError, match="seed must be a non-negative integer"):
+        run_rarity("random_normal", 1, -1, 2)
+    with pytest.raises(InputValidationError, match="^starts must be >= 1$"):
+        run_rarity("random_normal", 1, 0, 0)

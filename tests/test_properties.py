@@ -18,6 +18,7 @@ from grothq import (
     norm_frobenius,
     phase_system_solvable,
 )
+from grothq.experiments import _h6_norm_sq, _h6_phase_ascent
 
 # derandomized so that every run of the suite checks the same examples
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -269,3 +270,24 @@ def test_phase_ranks_match_matrix_rank(theta):
         rhs = np.angle(theta[np.nonzero(theta)])
         assert report.rank_augmented == report.rank_coefficient + 1
         assert np.linalg.matrix_rank(np.column_stack([coeff, rhs])) == rank + 1
+
+
+# points of the closed unit polydisc in C^6, a few per example
+polydisc_points = st.integers(1, 4).flatmap(lambda k: arrays(
+    complex, (k, 6), elements=st.complex_numbers(
+        max_magnitude=1.0, allow_nan=False, allow_infinity=False)))
+
+
+@PROPERTY
+@given(polydisc_points)
+def test_h6_phase_ascent_step_never_lowers_f(t):
+    before = _h6_norm_sq(t)
+    _, after = _h6_phase_ascent(t, max_rounds=1)
+    assert np.all(after >= before * (1 - 1e-12))
+
+
+@PROPERTY
+@given(polydisc_points)
+def test_h6_phase_ascent_stays_below_max_f(t):
+    _, values = _h6_phase_ascent(t)
+    assert values.max() <= 2 * (3 + 2 * np.sqrt(2)) * (1 + 1e-12)
