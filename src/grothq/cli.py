@@ -9,7 +9,7 @@ numerical non-convergence.
 import argparse
 import json
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -163,11 +163,19 @@ def cmd_experiment(args, cli_cfg):
         _emit(experiments.run_bounded_demo(args.dim, args.samples, cfg.seed).to_dict())
     elif kind == "rarity":
         out_path = args.out or cli_cfg.output_path
-        # records go to the --out file when given, else to stdout before the summary
-        with open(out_path, "a", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
+        # records go to the --out file when given, else to stdout before the summary;
+        # the file opens at the first record, so rejected arguments leave no file
+        fh = None
+        with ExitStack() as stack:
+            def sink(record):
+                nonlocal fh
+                if fh is None:
+                    fh = (stack.enter_context(open(out_path, "a", encoding="utf-8"))
+                          if out_path else sys.stdout)
+                fh.write(json.dumps(record) + "\n")
+
             stats = experiments.run_rarity(
-                args.ensemble, args.samples, cfg.seed, cfg.starts, dim=args.dim,
-                sink=lambda record: fh.write(json.dumps(record) + "\n"))
+                args.ensemble, args.samples, cfg.seed, cfg.starts, dim=args.dim, sink=sink)
         _emit(stats.to_dict())
     else:  # pragma: no cover - argparse restricts choices
         raise InputValidationError(f"unknown experiment {kind!r}")

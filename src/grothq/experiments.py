@@ -20,16 +20,14 @@ from .ensembles import (
     random_unitary,
 )
 from .forms import (
-    G_PRIME_TOL,
     K_G_UPPER,
     OptimizerConfig,
     eval_Q_trace,
     g_lower,
     g_prime,
-    g_upper,
     kg_region_check,
     max_q_lower,
-    polydisc_verdict,
+    unit_set_verdicts,
 )
 from .linalg import InputValidationError, largest_singular_value, norm_entrywise_l1
 from .states import build_family, build_projector, torus_witness
@@ -85,17 +83,6 @@ def _projector_for(d: int) -> np.ndarray:
     return build_projector(build_family(d)).matrix
 
 
-def _membership(lam: float, d_big: int, witness_value: float):
-    """Honest membership verdicts for lambda * Pi from the certified bracket.
-
-    The upper bound for the projector's classical supremum is d_big (its
-    entrywise l1 norm is larger), and the torus witness value is a certified
-    lower bound, so scales are judged against [witness_value, d_big].
-    """
-    in_g_prime = bool(d_big * lam <= 1.0 + G_PRIME_TOL)
-    return in_g_prime, polydisc_verdict(d_big * lam, witness_value * lam)
-
-
 def _run_projector_experiment(name: str, d: int, lam: float) -> ExperimentRecord:
     dim_big = d * (d - 1)
     _, witness_value = torus_witness(d)
@@ -112,7 +99,8 @@ def _run_projector_experiment(name: str, d: int, lam: float) -> ExperimentRecord
     if abs(q_trace - q_closed) > 1e-9 * max(1.0, q_closed):
         raise ConsistencyError(
             f"trace evaluation {q_trace} disagrees with closed form {q_closed}")
-    in_g_prime, in_g = _membership(lam, dim_big, witness_value)
+    # g(Pi) lies in [witness_value, d_big], and g'(Pi) = d_big since s_max(Pi) = 1
+    in_g_prime, in_g = unit_set_verdicts(witness_value * lam, dim_big * lam, dim_big * lam)
     rho_rank = d
     purity = 1.0 / rho_rank
     entropy = math.log(rho_rank)
@@ -218,18 +206,17 @@ def certify_g6(starts: int = 64, seed: int = 0, tol: float = 1e-6) -> G6Certific
     Route 1 maximizes F(t) = sum_i |(Pi t)_i| on the torus (the general
     optimizer).  Route 2 maximizes ||sum_j t_j a_j||^2 / 2 = ||A t||^2 / 2,
     the component sums of the state vectors, by a phase ascent that shares no
-    code with route 1 (``_h6_phase_ascent``).  Its start 0 is t = (1,...,1);
-    start i >= 1 is R e^(i chi), with R in [0, 1)^6 and chi in [-pi, pi)^6
-    drawn from ``default_rng(seed ^ i)``.  The all-ones start is a fixed point
-    of the ascent at ||A t||^2 / 2 = 10, so ``starts=1`` always disagrees.
-    The routes must agree within ``tol``; disagreement raises
-    ConsistencyError.
+    code with route 1 (``_h6_phase_ascent``).  Start i is R e^(i chi), with
+    R in [0, 1)^6 and chi in [-pi, pi)^6 drawn from ``default_rng(seed ^ i)``.
+    The all-ones point, a fixed point of the ascent at ||A t||^2 / 2 = 10, is
+    only evaluated for the ``allones_*`` fields, never used as a start.  The
+    routes must agree within ``tol``; disagreement raises ConsistencyError.
     """
     cfg = OptimizerConfig(starts=starts, seed=seed)
     general = g_lower(_projector_for(3), cfg)
 
-    t0 = np.ones((starts, 6), dtype=complex)
-    for i in range(1, starts):
+    t0 = np.empty((starts, 6), dtype=complex)
+    for i in range(starts):
         rng = np.random.default_rng(seed ^ i)
         t0[i] = rng.uniform(0, 1, 6) * np.exp(1j * rng.uniform(-np.pi, np.pi, 6))
     best = float(_h6_phase_ascent(t0)[1].max())
@@ -335,16 +322,17 @@ RARITY_ENSEMBLES = ("scaled_projector", "random_normal", "random_general")
 
 
 def _rarity_sample(ensemble: str, dim: int, seed: int, index: int):
-    """Draw one certified-unit-set matrix; returns (theta, record_fields)."""
+    """Draw one certified-unit-set matrix theta; returns (theta, record_fields,
+    (lower, upper, g_prime)): a certified bracket of g(theta), and g'(theta)."""
     rng = np.random.default_rng([seed, index])
     if ensemble == "scaled_projector":
         if index == 0:
-            # designated instance: the 6-dim coherent overlap projector scaled
-            # to its witness boundary, the known region-entering example
+            # designated instance: Pi_6 scaled to its witness boundary, the known
+            # region-entering example; g(Pi_6) lies in [w, 6] and g'(Pi_6) = 6
             pi = _projector_for(3)
             _, w = torus_witness(3)
             return pi / w, {"matrix": "coherent_overlap_projector_d3",
-                            "dim": 6, "scale": 1.0 / w, "in_G": "unknown"}
+                            "dim": 6, "scale": 1.0 / w}, (1.0, 6.0 / w, 6.0 / w)
         rank = int(rng.integers(1, dim))
         m = random_projector(rng, dim, rank)
         fields = {"matrix": "random_projector", "dim": dim, "rank": rank}
@@ -357,12 +345,11 @@ def _rarity_sample(ensemble: str, dim: int, seed: int, index: int):
     else:
         raise InputValidationError(
             f"unknown ensemble {ensemble!r}; choose from {RARITY_ENSEMBLES}")
-    scale = g_upper(m)
+    gp = g_prime(m)
+    scale = min(norm_entrywise_l1(m), gp)          # g_upper(m), so g(m / scale) <= 1
     if scale == 0.0:
-        return np.zeros_like(m), {**fields, "scale": 0.0, "in_G": "certified_yes"}
-    fields["scale"] = 1.0 / scale
-    fields["in_G"] = "certified_yes"     # g(theta) <= g_upper(m)/g_upper(m) = 1
-    return m / scale, fields
+        return np.zeros_like(m), {**fields, "scale": 0.0}, (0.0, 0.0, 0.0)
+    return m / scale, {**fields, "scale": 1.0 / scale}, (0.0, 1.0, gp / scale)
 
 
 def run_rarity(ensemble: str, samples: int, seed: int, starts: int,
@@ -371,9 +358,10 @@ def run_rarity(ensemble: str, samples: int, seed: int, starts: int,
 
     Per sample: draw a matrix, scale it onto the unit-set boundary with the
     certified upper bound min(||M||_1, d s_max), maximize the vector form,
-    and classify the value.  One JSON record per sample is written to
-    ``sink`` (a callable receiving dicts).  Everything derives from (seed,
-    index), so reruns are byte-identical.
+    and classify the value; the unit-set verdicts come from the sample's
+    bracket.  One JSON record per sample is written to ``sink`` (a callable
+    receiving dicts).  Everything derives from (seed, index), so reruns are
+    byte-identical.
     """
     if samples < 1:
         raise InputValidationError(f"samples must be >= 1, got {samples}")
@@ -383,15 +371,16 @@ def run_rarity(ensemble: str, samples: int, seed: int, starts: int,
     count = 0
     max_q = 0.0
     for i in range(samples):
-        theta, fields = _rarity_sample(ensemble, dim, seed, i)
+        theta, fields, bracket = _rarity_sample(ensemble, dim, seed, i)
+        in_g_prime, in_g = unit_set_verdicts(*bracket)
         opt_seed = seed ^ ((i + 1) << 20)
         q = max_q_lower(theta, replace(base_cfg, seed=opt_seed)).best_value
         region = kg_region_check(q)
-        in_g_prime = bool(g_prime(theta) <= 1.0 + G_PRIME_TOL) if np.any(theta) else True
         record = {
             "index": i,
             "ensemble": ensemble,
             **fields,
+            "in_G": in_g,
             "q_value": q,
             "region": region,
             "in_G_prime": in_g_prime,

@@ -39,7 +39,7 @@ __all__ = [
     "g_lower",
     "max_q_lower",
     "phase_system_solvable",
-    "polydisc_verdict",
+    "unit_set_verdicts",
     "classify",
     "kg_region_check",
 ]
@@ -492,17 +492,18 @@ G_PRIME_TOL = 1e-10
 CERTIFIED_NO_MARGIN = 1e-9
 
 
-def polydisc_verdict(upper: float, lower: float) -> str:
-    """Membership in the polydisc unit set from a certified bracket of g.
-
-    An upper bound at most 1 certifies membership, a witness value above
+def unit_set_verdicts(lower: float, upper: float, g_prime: float):
+    """(in_G_prime, in_G) of theta from its exact ball supremum g' and a certified
+    bracket [lower, upper] of g: in_G_prime is g' <= 1 + G_PRIME_TOL; an upper
+    bound at most 1 certifies membership in G, a witness value above
     1 + CERTIFIED_NO_MARGIN certifies exclusion, anything else is unknown.
     """
+    in_g_prime = bool(g_prime <= 1.0 + G_PRIME_TOL)
     if upper <= 1.0:
-        return "certified_yes"
+        return in_g_prime, "certified_yes"
     if lower > 1.0 + CERTIFIED_NO_MARGIN:
-        return "certified_no"
-    return "unknown"
+        return in_g_prime, "certified_no"
+    return in_g_prime, "unknown"
 
 
 def classify(theta, config: Optional[OptimizerConfig] = None) -> GClassification:
@@ -519,16 +520,15 @@ def classify(theta, config: Optional[OptimizerConfig] = None) -> GClassification
     gp = g_prime(a)
     l1 = norm_entrywise_l1(a)
     upper = min(l1, gp)
-    in_g = polydisc_verdict(upper, run.best_value)
+    in_g_prime, in_g = unit_set_verdicts(run.best_value, upper, gp)
 
-    entry_max = float(np.abs(a).max())
-    fro = float(np.linalg.norm(a))
+    bound = 1.0 + G_PRIME_TOL          # each check follows from d s_max <= bound
     necessary = {
-        "entry_max_le_inv_d": bool(entry_max <= 1.0 / d + 1e-12),
-        "l1_le_d": bool(l1 <= d + 1e-12),
-        "frobenius_le_1": bool(fro <= 1.0 + 1e-12),
+        "entry_max_le_inv_d": bool(d * float(np.abs(a).max()) <= bound),
+        "l1_le_d": bool(l1 <= d * bound),
+        "frobenius_le_1": bool(float(np.linalg.norm(a)) <= bound),
     }
-    gro10 = bool((upper <= 1.0 or in_g != "certified_no") and l1 > 1.0)
+    gro10 = bool(in_g != "certified_no" and l1 > 1.0)
 
     scaling = {}
     if gp > 0:
@@ -543,7 +543,7 @@ def classify(theta, config: Optional[OptimizerConfig] = None) -> GClassification
         g_lower=float(run.best_value),
         g_upper=float(upper),
         g_prime=float(gp),
-        in_G_prime=bool(gp <= 1.0 + G_PRIME_TOL),
+        in_G_prime=in_g_prime,
         in_G=in_g,
         l1_norm=float(l1),
         necessary_condition_GRO10=gro10,

@@ -214,6 +214,12 @@ def test_experiment_g6_two_starts_seed_10(capsys):
     assert json.loads(out)["agrees"]
 
 
+def test_experiment_g6_one_start_exits_0(capsys):
+    code, out = run_cli(capsys, ["experiment", "g6", "--starts", "1"])
+    assert code == 0
+    assert json.loads(out)["agrees"]
+
+
 def test_experiment_h6_out_of_range_exit_2(capsys):
     code, _ = run_cli(capsys, ["experiment", "h6", "--lambda", "0.5"])
     assert code == 2
@@ -272,6 +278,15 @@ def test_experiment_rarity_out_file_matches_streamed_records(tmp_path, capsys):
     assert len(records) == 5                        # four records, then the summary
     assert out_path.read_text(encoding="utf-8") == "".join(records[:-1])
     assert summary == records[-1]
+
+
+def test_experiment_rarity_rejected_arguments_leave_no_out_file(tmp_path, capsys):
+    out_path = tmp_path / "records.jsonl"
+    code, out = run_cli(capsys, ["experiment", "rarity", "--ensemble", "random_normal",
+                                 "--samples", "0", "--out", str(out_path)])
+    assert code == 2
+    assert out == ""
+    assert not out_path.exists()
 
 
 def test_help_exits_zero(capsys):

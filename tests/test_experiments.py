@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from grothq import (
-    ConsistencyError,
     InputValidationError,
     certify_g6,
     displacement_operator,
@@ -16,6 +15,10 @@ from grothq import (
     run_h12,
     run_rarity,
 )
+from grothq import experiments, forms
+from grothq.experiments import RARITY_ENSEMBLES, _rarity_sample
+from grothq.forms import G_PRIME_TOL, g_prime
+from grothq.linalg import largest_singular_value
 
 
 # --- 6-dim projector experiment ---
@@ -122,17 +125,20 @@ def test_certify_g6_serializes():
 
 
 def test_certify_g6_two_starts_agree_on_every_seed():
-    # one random start besides all-ones reaches 3 + 2 sqrt 2 for every seed
+    # two random starts reach 3 + 2 sqrt 2 for every seed
     for seed in range(200):
         cert = certify_g6(2, seed)
         assert cert.agrees
         assert cert.specialized_value == pytest.approx(3 + 2 * np.sqrt(2), abs=1e-12)
 
 
-def test_certify_g6_allones_start_alone_disagrees():
-    # the all-ones start is a fixed point of the phase ascent, at 10 / 2 = 5
-    with pytest.raises(ConsistencyError, match="specialized 5.0"):
-        certify_g6(1, 0)
+def test_certify_g6_one_start_agrees_on_every_seed():
+    # route 2 never starts at all-ones, a fixed point of the phase ascent at 10 / 2 = 5
+    for seed in range(200):
+        cert = certify_g6(1, seed)
+        assert cert.agrees
+        assert cert.specialized_value == pytest.approx(3 + 2 * np.sqrt(2), abs=1e-12)
+        assert cert.allones_norm_sq == pytest.approx(10.0, abs=1e-12)
 
 
 def test_certify_g6_checks_its_config():
@@ -221,6 +227,30 @@ def test_rarity_random_normal_region_consistency():
             assert rec["q_value"] <= 1.4049 + 1e-9
     assert stats.samples == 40
     assert stats.fraction == stats.count_in_region / 40
+
+
+@pytest.mark.parametrize("ensemble", RARITY_ENSEMBLES)
+def test_rarity_verdicts_match_a_recomputation_from_theta(ensemble):
+    records = []
+    run_rarity(ensemble, samples=12, seed=1, starts=2, sink=records.append)
+    for rec in records:
+        theta = _rarity_sample(ensemble, 6, 1, rec["index"])[0]
+        assert rec["in_G_prime"] == bool(g_prime(theta) <= 1.0 + G_PRIME_TOL)
+        designated = ensemble == "scaled_projector" and rec["index"] == 0
+        assert rec["in_G"] == ("unknown" if designated else "certified_yes")
+
+
+def test_rarity_takes_one_svd_per_sample(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a.shape)
+        return largest_singular_value(a)
+
+    monkeypatch.setattr(forms, "largest_singular_value", counting)
+    monkeypatch.setattr(experiments, "largest_singular_value", counting)
+    run_rarity("random_normal", samples=5, seed=0, starts=2)
+    assert len(calls) == 5
 
 
 def test_rarity_deterministic_records():

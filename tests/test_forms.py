@@ -554,10 +554,15 @@ def test_classify_necessary_conditions_fields():
     res = classify(pi(3) / 6, SMALL)
     assert res.necessary_for_G_prime["l1_le_d"]
     assert res.necessary_for_G_prime["frobenius_le_1"]
-    # 2/24 > 1/6: the entrywise condition fails even inside the ball set --
-    # it is necessary only with the conventions of the scaled single-entry
-    # construction, so just check the field exists and is boolean
-    assert isinstance(res.necessary_for_G_prime["entry_max_le_inv_d"], bool)
+    # the largest entry of Pi_6 / 6 is 1/12 <= 1/6
+    assert res.necessary_for_G_prime["entry_max_le_inv_d"] is True
+
+
+def test_classify_necessary_flags_hold_on_the_ball_set_boundary():
+    # g' = 1 + 5e-11 is inside the ball set's tolerance, and so is d * max|theta_ij|
+    res = classify(np.diag([0.5 * (1 + 5e-11), 0.0]), SMALL)
+    assert res.in_G_prime
+    assert all(res.necessary_for_G_prime.values())
 
 
 def test_classify_bracket_orders():

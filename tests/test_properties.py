@@ -1,5 +1,5 @@
-"""Property tests for the alternating-phase kernels, the phase-system solver
-and the LAPACK-backed linear algebra."""
+"""Property tests for the alternating-phase kernels, the phase-system solver,
+the unit-set verdicts and the LAPACK-backed linear algebra."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -19,6 +19,7 @@ from grothq import (
     phase_system_solvable,
 )
 from grothq.experiments import _h6_norm_sq, _h6_phase_ascent
+from grothq.forms import G_PRIME_TOL, classify, g_prime, unit_set_verdicts
 
 # derandomized so that every run of the suite checks the same examples
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -291,3 +292,40 @@ def test_h6_phase_ascent_step_never_lowers_f(t):
 def test_h6_phase_ascent_stays_below_max_f(t):
     _, values = _h6_phase_ascent(t)
     assert values.max() <= 2 * (3 + 2 * np.sqrt(2)) * (1 + 1e-12)
+
+
+# --- unit-set verdicts ---
+
+@PROPERTY
+@given(matrices(), configs, st.floats(0.5, 2.0))
+def test_classify_verdicts_follow_the_one_rule(m, cfg, factor):
+    upper = g_upper(m)
+    theta = m * (factor / upper) if upper else m     # brackets on both sides of 1
+    res = classify(theta, cfg)
+    assert (res.in_G_prime, res.in_G) == unit_set_verdicts(res.g_lower, res.g_upper,
+                                                           res.g_prime)
+
+
+@st.composite
+def ball_boundary_matrices(draw):
+    """Diagonal, single-entry and uniform matrices scaled to g' in [1 - 1e-9, 1 + tol]."""
+    d = draw(st.integers(2, 6))
+    z = draw(entries.filter(lambda x: abs(x) > 1e-3))
+    kind = draw(st.sampled_from(["diagonal", "single", "uniform"]))
+    if kind == "diagonal":
+        m = np.diag(draw(arrays(complex, d, elements=entries)))
+        m[0, 0] = z
+    elif kind == "single":
+        m = np.zeros((d, d), dtype=complex)
+        m[draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))] = z
+    else:
+        m = np.full((d, d), z)
+    return m * (draw(st.floats(1 - 1e-9, 1 + G_PRIME_TOL)) / g_prime(m))
+
+
+@PROPERTY
+@given(ball_boundary_matrices())
+def test_in_g_prime_implies_the_necessary_flags(theta):
+    res = classify(theta, OptimizerConfig(starts=1))
+    if res.in_G_prime:
+        assert all(res.necessary_for_G_prime.values()), res.necessary_for_G_prime
