@@ -47,6 +47,8 @@ def load_config(path) -> CliConfig:
         raise InputValidationError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise InputValidationError(f"malformed config JSON in {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InputValidationError(f"config file is not UTF-8 text: {path}: {exc}")
     if not isinstance(doc, dict):
         raise InputValidationError("config must be a JSON object")
     settings = {key: doc[key] for key in ("seed", "starts") if key in doc}

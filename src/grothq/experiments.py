@@ -374,7 +374,8 @@ def run_rarity(ensemble: str, samples: int, seed: int, starts: int,
         theta, fields, bracket = _rarity_sample(ensemble, dim, seed, i)
         in_g_prime, in_g = unit_set_verdicts(*bracket)
         opt_seed = seed ^ ((i + 1) << 20)
-        q = max_q_lower(theta, replace(base_cfg, seed=opt_seed)).best_value
+        q_run = max_q_lower(theta, replace(base_cfg, seed=opt_seed))
+        q = q_run.best_value
         region = kg_region_check(q)
         record = {
             "index": i,
@@ -382,6 +383,7 @@ def run_rarity(ensemble: str, samples: int, seed: int, starts: int,
             **fields,
             "in_G": in_g,
             "q_value": q,
+            "q_stop_reason": q_run.stop_reason,
             "region": region,
             "in_G_prime": in_g_prime,
             "optimizer_seed": opt_seed,

@@ -20,6 +20,7 @@ from .linalg import (
     as_matrix,
     largest_singular_value,
     norm_entrywise_l1,
+    norm_frobenius,
     pow2_normalize,
     require_square,
 )
@@ -106,10 +107,12 @@ class VectorTuple:
     @classmethod
     def from_rows(cls, rows) -> "VectorTuple":
         rows = np.asarray(rows, dtype=complex)
-        units = np.zeros_like(rows)
-        units[:, 0] = 1.0               # unit rows for zero vectors are irrelevant: e_0
-        scales = _normalize(rows, units)[:, 0]
-        return cls(unit_vectors=units, scales=np.minimum(scales, 1.0))
+        z = np.stack([rows.real, rows.imag])[..., None]   # the real form of _unit_vectors
+        units = np.zeros_like(z)
+        units[0, :, 0] = 1.0            # unit rows for zero vectors are irrelevant: e_0
+        scales = _unit_vectors(z, units)[:, 0]
+        return cls(unit_vectors=units[0, ..., 0] + 1j * units[1, ..., 0],
+                   scales=np.minimum(scales, 1.0))
 
 
 def eval_C(theta, s: PolydiscTuple, t: PolydiscTuple) -> float:
@@ -172,13 +175,18 @@ class OptimizerConfig:
 class OptimizerRun:
     """Result of a multistart maximization, reproducible bit-for-bit from its config.
 
-    A start settles once a round changes its value by less than
-    1e-3 * phase_tolerance (``_alternate``).  ``iterations_used``: rounds per
-    start until it settled or the round cap cut it.  ``converged_fraction``:
-    share of starts that settled before the cap.  For ``g_lower`` a start is
-    its four rows: it has used the most rounds of any of them, and it has
-    settled when all four have.  ``stop_reason``: "tolerance" (every start
-    settled), "budget" (the cap cut at least one) or "zero_matrix".
+    Both optimizers run all their starts as one block of ``_alternate``, the
+    starts on its last axis: ``g_lower`` a complex (2, d, 4 * starts) block
+    of phases, ``max_q_lower`` a real (2, 2, d, d, starts + 1) block of
+    vectors held as [Re; Im] rows.  A start settles once a round changes its
+    value by less than 1e-3 * phase_tolerance.  ``per_start_values`` and
+    ``iterations_used``, in start order: each start's value, and its rounds
+    until it settled or the round cap cut it.  ``converged_fraction``: share
+    of starts that settled before the cap.  For ``g_lower`` a start is its
+    four rows: its value is the best of theirs, it has used the most rounds
+    of any of them, and it has settled when all four have.  ``stop_reason``:
+    "tolerance" (every start settled), "budget" (the cap cut at least one)
+    or "zero_matrix".
     """
     config: OptimizerConfig
     best_value: float
@@ -230,62 +238,86 @@ def _zero_matrix_run(cfg: OptimizerConfig, n: int, witness: tuple) -> OptimizerR
     return OptimizerRun(cfg, 0.0, witness, 1.0, [0.0] * n, [0] * n, "zero_matrix")
 
 
-def _norms(z: np.ndarray) -> np.ndarray:
-    """||z|| over the last axis, kept: np.linalg.norm's formula without its dispatch."""
-    return np.sqrt(np.add.reduce((z.conj() * z).real, axis=-1, keepdims=True))
-
-
-def _normalize(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write z / ||z|| over the last axis into ``out``, which keeps its value
-    where z = 0, and return the norms (last axis kept, of length 1)."""
-    norms = np.abs(z) if z.shape[-1] == 1 else _norms(z)
+def _unit_scalars(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the phases z / |z| of a complex array into ``out``, which keeps
+    its value where z = 0, and return the moduli |z|."""
+    norms = np.abs(z)
     if np.minimum.reduce(norms.ravel()) >= _SMALL:
         np.divide(z, norms, out=out)
         return norms
-    # the squares in _norms underflow and complex division by a
-    # subnormal overflows: scale each vector by an exact power of two first
-    nonzero = np.any(z, axis=-1)
+    # complex division by a subnormal overflows: scale each entry by an
+    # exact power of two first
+    nonzero = z != 0
     w = z[nonzero]
-    _, e = np.frexp(np.abs(w).max(axis=-1, keepdims=True))
+    _, e = np.frexp(np.abs(w))
     w = np.ldexp(w.real, -e) + 1j * np.ldexp(w.imag, -e)
-    w_norms = _norms(w)
+    w_norms = np.sqrt((w.conj() * w).real)
     out[nonzero] = w / w_norms
     norms[nonzero] = np.ldexp(w_norms, e)
     return norms
 
 
-def _alternate(b, xy, q, cap, threshold):
-    """Alternate y <- unit(b^H x), x <- unit(b y) on a (2, d, m, k) block of starts.
+def _unit_vectors(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Normalize complex vectors held in real form: ``z[:, i, :, s]`` is vector i
+    of start s as [Re; Im] rows.  Write each vector over its norm into ``out``,
+    which keeps its value where the vector is 0, and return the (n, m) norms."""
+    norms = np.sqrt(np.einsum("rics,rics->is", z, z))
+    if np.minimum.reduce(norms.ravel()) >= _SMALL:
+        np.divide(z, norms[:, None], out=out)
+        return norms
+    # the squares underflow: scale each vector by an exact power of two first
+    z_t, out_t = z.transpose(1, 3, 0, 2), out.transpose(1, 3, 0, 2)
+    nonzero = np.any(z_t, axis=(2, 3))
+    w = z_t[nonzero]
+    _, e = np.frexp(np.abs(w).max(axis=(1, 2)))
+    w = np.ldexp(w, -e[:, None, None])
+    w_norms = np.sqrt(np.einsum("vrc,vrc->v", w, w))
+    out_t[nonzero] = w / w_norms[:, None, None]
+    norms[nonzero] = np.ldexp(w_norms, e)
+    return norms
 
-    ``xy[0][i, s]`` is x_i of start s and ``xy[1][j, s]`` is y_j; ``q`` holds each
-    start's value before the first round.  A round sets q = sum_i ||(b y)_i||,
-    which never decreases.  A start leaves the block once a round changes its
-    value by less than ``threshold``; all stop after ``cap`` rounds.  Returns
-    the vectors, the values, the rounds per start and the indices of the
-    starts the cap cut off.
+
+def _alternate(b, xy, q, cap, threshold):
+    """Alternate y <- unit(b^H x), x <- unit(b y) on a block of starts, the
+    starts on its last axis, so each step's inner loop runs over them.
+
+    ``xy[0]`` holds x and ``xy[1]`` holds y, and the block's dtype picks the
+    norm step.  A complex (2, d, m) block holds scalars: ``xy[0][i, s]`` is
+    x_i of start s, ``b`` is theta and unit() takes the phase.  A real
+    (2, 2, d, k, m) block holds k-vectors in real form: ``xy[0][:, i, :, s]``
+    is x_i of start s as [Re; Im] rows, ``b`` is theta's real form
+    [[Re, -Im], [Im, Re]] and unit() divides by the Euclidean norm.  (Vectors
+    run faster in real form; scalars ran slower in it.)  Either way a
+    half-step is one matrix product of ``b`` (or its adjoint) with the whole
+    block.  ``q`` holds each start's value before the first round.  A round
+    sets q = sum_i ||(b y)_i||, which never decreases.  A start leaves the
+    block once a round changes its value by less than ``threshold``; all stop
+    after ``cap`` rounds.  Returns the vectors, the values, the rounds per
+    start and the indices of the starts the cap cut off.
     """
+    unit = _unit_scalars if np.iscomplexobj(xy) else _unit_vectors
     xy = np.ascontiguousarray(xy)                    # so that x2 and y2 below are views
-    d, m = xy.shape[1:3]
+    n, m = b.shape[0], xy.shape[-1]
     b_h = b.conj().T
     out, q_out, used = np.empty_like(xy), np.empty(m), np.zeros(m, dtype=int)
     live = np.arange(m)                              # starts still in the block
     rounds = 0
     x, y = xy[0], xy[1]
-    x2, y2 = x.reshape(d, -1), y.reshape(d, -1)
+    x2, y2 = x.reshape(n, -1), y.reshape(n, -1)
     while live.size and rounds < cap:
         rounds += 1
-        _normalize((b_h @ x2).reshape(y.shape), y)
-        norms = _normalize((b @ y2).reshape(x.shape), x)
-        q, q_prev = np.add.reduce(norms[..., 0], axis=0), q
+        unit((b_h @ x2).reshape(y.shape), y)
+        norms = unit((b @ y2).reshape(x.shape), x)
+        q, q_prev = np.add.reduce(norms, axis=0), q
         gain = q - q_prev
         if np.minimum.reduce(gain) < threshold:       # needed for any |gain| < threshold
             # write the block back by index, then drop the settled starts
-            out[:, :, live], q_out[live], used[live] = xy, q, rounds
+            out[..., live], q_out[live], used[live] = xy, q, rounds
             keep = np.abs(gain) >= threshold
-            xy, q, live = xy.compress(keep, axis=2), q[keep], live[keep]
+            xy, q, live = xy.compress(keep, axis=-1), q[keep], live[keep]
             x, y = xy[0], xy[1]
-            x2, y2 = x.reshape(d, -1), y.reshape(d, -1)
-    out[:, :, live], q_out[live], used[live] = xy, q, rounds
+            x2, y2 = x.reshape(n, -1), y.reshape(n, -1)
+    out[..., live], q_out[live], used[live] = xy, q, rounds
     return out, q_out, used, live
 
 
@@ -316,14 +348,14 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
     phases = np.hstack([seeded, seeded.conj()])     # (d, 2n)
     # rows 0..2n-1 take the phases as t, rows 2n..4n-1 as s; y keeps its
     # start where a column of theta is zero
-    xy = np.ones((2, d, 4 * n, 1), dtype=complex)
-    xy[1, :, :, 0] = np.hstack([phases, phases])
-    xy[0, :, 2 * n:, 0] = phases.conj()
+    xy = np.ones((2, d, 4 * n), dtype=complex)
+    xy[1] = np.hstack([phases, phases])
+    xy[0, :, 2 * n:] = phases.conj()
     q = np.full(4 * n, -np.inf)
-    q[:2 * n] = _normalize((b @ phases)[..., None], xy[0, :, :2 * n]).sum(axis=(0, 2))
+    q[:2 * n] = _unit_scalars(b @ phases, xy[0, :, :2 * n]).sum(axis=0)
     xy, q, used, cut = _alternate(b, xy, q, d * cfg.max_iterations, 1e-3 * cfg.phase_tolerance)
 
-    t_best = xy[1, :, int(q.argmax()), 0]            # deterministic tie-break on row index
+    t_best = xy[1, :, int(q.argmax())]               # deterministic tie-break on row index
     split = phase_system_solvable(b)
     if split.solvable:
         # the forest phases attain ||theta||_1; weakly coupled rows converge slowly
@@ -332,7 +364,7 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
             t_best = t_split
     r_best = b @ t_best
     s_best = np.ones(d, dtype=complex)
-    _normalize(r_best.conj()[:, None], s_best[:, None])
+    _unit_scalars(r_best.conj(), s_best)
     witness = (PolydiscTuple(s_best).validate(), PolydiscTuple(t_best).validate())
     return OptimizerRun(
         config=cfg,
@@ -352,8 +384,13 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
     sum_i conj(theta_ij) x_i, and symmetrically: ``_alternate`` with vectors
     of dimension d.  One extra start embeds the scalar witness of ``g_lower``
     (same config) as parallel vectors, so the result never falls below that
-    scalar bound.  All starts run as one (d, starts + 1, d) block on theta
-    scaled as in ``g_lower``, for at most ``max_iterations`` rounds.
+    scalar bound.  All starts run as one real (2, 2, d, d, starts + 1) block
+    on theta scaled as in ``g_lower``, for at most ``max_iterations`` rounds:
+    ``xy[0][:, i, :, s]`` is x_i of start s as [Re; Im] rows, filled straight
+    from the start's standard normal draw, and a half-step is one real matrix
+    product with [[Re theta, -Im theta], [Im theta, Re theta]] (or its
+    transpose, for theta^H).  Only the best start is turned back into complex
+    vectors, for its witness.
     """
     cfg = config or OptimizerConfig()
     a = require_square(theta)
@@ -363,24 +400,26 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
         zero = VectorTuple.from_rows(np.zeros((d, d)))
         return _zero_matrix_run(cfg, n, (zero, zero))
 
-    scalar = g_lower(a, cfg)
-    xy = np.zeros((2, d, n, d), dtype=complex)      # xy[0][i, s] is x_i of start s
-    s_w, t_w = scalar.best_witness
-    xy[0, :, 0, 0] = np.conj(s_w.values)
-    xy[1, :, 0, 0] = t_w.values
+    s_w, t_w = g_lower(a, cfg).best_witness
+    # xy[0, :, i, :, s] is x_i of start s as [Re; Im] rows, xy[1] likewise y
+    xy = np.zeros((2, 2, d, d, n))
+    w = np.array([np.conj(s_w.values), t_w.values])  # start 0: g_lower's witness
+    xy[:, 0, :, 0, 0], xy[:, 1, :, 0, 0] = w.real, w.imag
     for k in range(cfg.starts):
         r = np.random.default_rng(cfg.seed ^ k).standard_normal((4, d, d))
-        xy[0, :, k + 1] = r[0] + 1j * r[1]
-        xy[1, :, k + 1] = r[2] + 1j * r[3]
-    _normalize(xy[:, :, 1:], xy[:, :, 1:])
+        xy[..., k + 1] = r.reshape(2, 2, d, d)      # Re x, Im x, Re y, Im y
+    for v in xy:
+        _unit_vectors(v[..., 1:], v[..., 1:])
 
     b, unit = pow2_normalize(a)
-    q = np.abs(np.einsum("ij,ink,jnk->n", b, xy[0].conj(), xy[1]))
-    xy, q, used, cut = _alternate(b, xy, q, cfg.max_iterations, 1e-3 * cfg.phase_tolerance)
+    x, y = xy[:, 0] + 1j * xy[:, 1]
+    q = np.abs(np.einsum("ij,iks,jks->s", b, x.conj(), y))
+    b_r = np.block([[b.real, -b.imag], [b.imag, b.real]])
+    xy, q, used, cut = _alternate(b_r, xy, q, cfg.max_iterations, 1e-3 * cfg.phase_tolerance)
 
     best = int(q.argmax())
-    witness = (VectorTuple.from_rows(xy[0, :, best]).validate(),
-               VectorTuple.from_rows(xy[1, :, best]).validate())
+    x, y = xy[:, 0, ..., best] + 1j * xy[:, 1, ..., best]
+    witness = (VectorTuple.from_rows(x).validate(), VectorTuple.from_rows(y).validate())
     return OptimizerRun(
         config=cfg,
         best_value=unit * float(q[best]),
@@ -526,7 +565,7 @@ def classify(theta, config: Optional[OptimizerConfig] = None) -> GClassification
     necessary = {
         "entry_max_le_inv_d": bool(d * float(np.abs(a).max()) <= bound),
         "l1_le_d": bool(l1 <= d * bound),
-        "frobenius_le_1": bool(float(np.linalg.norm(a)) <= bound),
+        "frobenius_le_1": bool(norm_frobenius(a) <= bound),
     }
     gro10 = bool(in_g != "certified_no" and l1 > 1.0)
 

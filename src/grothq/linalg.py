@@ -71,8 +71,14 @@ def norm_entrywise_l1(m) -> float:
 
 
 def norm_frobenius(m) -> float:
-    """sqrt(sum |entries|^2), equal to sqrt(Tr(M M^dagger))."""
-    return float(np.linalg.norm(as_matrix(m)))
+    """sqrt(sum |entries|^2), equal to sqrt(Tr(M M^dagger)).
+
+    Computed on the ``pow2_normalize``d matrix and scaled back, so tiny or
+    huge matrices neither underflow nor overflow and the result scales
+    exactly with the matrix.
+    """
+    b, unit = pow2_normalize(as_matrix(m))
+    return unit * float(np.linalg.norm(b))
 
 
 def pow2_normalize(a: np.ndarray):

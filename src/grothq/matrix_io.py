@@ -68,6 +68,8 @@ def load_matrix(path: str) -> np.ndarray:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputValidationError(f"malformed JSON in {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputValidationError(f"matrix file is not UTF-8 text: {path}: {exc}") from exc
     return matrix_from_dict(doc)
 
 

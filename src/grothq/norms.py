@@ -16,6 +16,7 @@ from .linalg import (
     is_normal,
     largest_singular_value,
     norm_frobenius,
+    pow2_normalize,
     require_square,
 )
 
@@ -28,8 +29,18 @@ UNIT_SET_TOL = 1e-12
 
 
 def row_norms(m) -> np.ndarray:
-    """Euclidean norms of the rows; entry i equals sqrt((M M^dagger)_ii)."""
-    return np.linalg.norm(as_matrix(m), axis=1)
+    """Euclidean norms of the rows; entry i equals sqrt((M M^dagger)_ii).
+
+    Each row is scaled by an exact power of two, as ``pow2_normalize``
+    scales a matrix, before its squares are summed, and its norm is scaled
+    back; so tiny or huge rows neither underflow nor overflow, a row far
+    below the largest entry keeps its precision, and the norms scale exactly
+    with the matrix.
+    """
+    a = as_matrix(m)
+    _, e = np.frexp(np.abs(a).max(axis=1))
+    b = np.ldexp(a.real, -e[:, None]) + 1j * np.ldexp(a.imag, -e[:, None])
+    return np.ldexp(np.linalg.norm(b, axis=1), e)
 
 
 def normalization_factor(m) -> float:
@@ -38,12 +49,16 @@ def normalization_factor(m) -> float:
 
 
 def to_unit_s(m) -> np.ndarray:
-    """M divided by its normalization factor; the result has factor exactly 1."""
-    a = as_matrix(m)
-    n = normalization_factor(a)
+    """M divided by its normalization factor; the result has factor exactly 1.
+
+    The division runs on the ``pow2_normalize``d matrix, whose factor is at
+    least 1/2, so a subnormal factor cannot overflow it.
+    """
+    b, _ = pow2_normalize(as_matrix(m))
+    n = normalization_factor(b)
     if n == 0.0:
         raise InputValidationError("cannot normalize the zero matrix")
-    return a / n
+    return b / n
 
 
 @dataclass

@@ -84,6 +84,20 @@ def test_gbound_exit_2_on_boolean_matrix(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("role", ["matrix", "config"])
+def test_cli_exit_2_on_file_not_utf8(tmp_path, capsys, role):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"seed": "\u00e9"}'.encode("latin-1"))
+    path = write_matrix(tmp_path, "m.json", np.eye(2))
+    argv = (["norms", "--matrix", str(bad)] if role == "matrix"
+            else ["--config", str(bad), "norms", "--matrix", path])
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "UTF-8" in captured.err
+
+
 def test_cli_exit_2_on_bad_matrix(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("[]")

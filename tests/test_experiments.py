@@ -240,6 +240,15 @@ def test_rarity_verdicts_match_a_recomputation_from_theta(ensemble):
         assert rec["in_G"] == ("unknown" if designated else "certified_yes")
 
 
+def test_rarity_records_report_why_max_q_lower_stopped():
+    # with these settings about one sample in ten runs into the round cap
+    records = []
+    run_rarity("random_normal", samples=20, seed=1, starts=16, sink=records.append)
+    reasons = {rec["index"]: rec["q_stop_reason"] for rec in records}
+    assert [i for i, reason in reasons.items() if reason == "budget"] == [2, 5, 7, 16]
+    assert sum(reason == "tolerance" for reason in reasons.values()) == 16
+
+
 def test_rarity_takes_one_svd_per_sample(monkeypatch):
     calls = []
 

@@ -107,6 +107,17 @@ def test_to_unit_s_result_in_unit_set():
         assert norm_report(v).in_S_d if v.shape[0] == v.shape[1] else True
 
 
+def test_to_unit_s_and_report_of_tiny_and_huge_matrices():
+    # the squares of 1e-200 underflow to 0 and those of 1e200 overflow
+    for x in (1e-200, 1e200):
+        m = np.full((2, 2), x)
+        assert np.allclose(to_unit_s(m), np.full((2, 2), 1 / np.sqrt(2)), rtol=1e-15, atol=0)
+        rep = norm_report(m)
+        assert rep.row_norms == pytest.approx([np.sqrt(2) * x] * 2, rel=1e-15)
+        assert rep.n_factor == pytest.approx(np.sqrt(2) * x, rel=1e-15)
+        assert rep.frobenius == pytest.approx(2 * x, rel=1e-15)
+
+
 # --- norm report ---
 
 def test_report_diagonal_density_upper_tight():

@@ -16,10 +16,13 @@ from grothq import (
     max_q_lower,
     norm_entrywise_l1,
     norm_frobenius,
+    normalization_factor,
     phase_system_solvable,
+    row_norms,
 )
 from grothq.experiments import _h6_norm_sq, _h6_phase_ascent
 from grothq.forms import G_PRIME_TOL, classify, g_prime, unit_set_verdicts
+from grothq.linalg import pow2_normalize
 
 # derandomized so that every run of the suite checks the same examples
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -118,6 +121,58 @@ def test_max_q_lower_witness_valid_with_zero_rows_and_columns(theta, cfg, data):
     assert close(value, run.best_value, 1e-12)
 
 
+def unit_rows(z, keep):
+    """Each row of z over its Euclidean norm (a zero row takes the row of
+    ``keep``), and the norms; rows are scaled by their largest modulus first."""
+    units, norms = keep.astype(complex), np.zeros(z.shape[0])
+    for i, row in enumerate(z):
+        top = np.abs(row).max()
+        if top > 0:
+            w = row / top
+            norm = np.sqrt(np.sum(np.abs(w) ** 2))
+            units[i], norms[i] = w / norm, top * norm
+    return units, norms
+
+
+def reference_max_q_values(theta, cfg):
+    """max_q_lower's per-start values from a plain complex alternation, one
+    start at a time: the same starts, settle rule and round cap."""
+    b, unit = pow2_normalize(theta)
+    d = b.shape[0]
+    s, t = g_lower(theta, cfg).best_witness
+    e0 = np.eye(d)[0]
+    starts = [(np.outer(s.values.conj(), e0), np.outer(t.values, e0))]
+    for k in range(cfg.starts):
+        r = np.random.default_rng(cfg.seed ^ k).standard_normal((4, d, d))
+        x, y = r[0] + 1j * r[1], r[2] + 1j * r[3]
+        starts.append((unit_rows(x, x)[0], unit_rows(y, y)[0]))
+    values = []
+    for x, y in starts:
+        q = abs(np.sum(x.conj() * (b @ y)))
+        for _ in range(cfg.max_iterations):
+            y = unit_rows(b.conj().T @ x, y)[0]
+            x, norms = unit_rows(b @ y, x)
+            q, q_prev = norms.sum(), q
+            if abs(q - q_prev) < 1e-3 * cfg.phase_tolerance:
+                break
+        values.append(unit * q)
+    return values
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(matrices(), configs, st.data())
+def test_max_q_lower_matches_a_per_start_complex_alternation(theta, cfg, data):
+    d = theta.shape[0]
+    lines = st.lists(st.integers(0, d - 1), max_size=d - 1)
+    theta[data.draw(lines), :] = 0
+    theta[:, data.draw(lines)] = 0
+    theta[data.draw(lines), :] *= 1e-160              # their updates take the careful path
+    run = max_q_lower(theta, cfg)
+    reference = reference_max_q_values(theta, cfg)
+    assert all(close(v, r, 1e-12) for v, r in zip(run.per_start_values, reference))
+    assert len(run.per_start_values) == len(reference)
+
+
 def ldexp(m, k):
     """m * 2^k, entrywise on the real and imaginary parts."""
     return np.ldexp(m.real, k) + 1j * np.ldexp(m.imag, k)
@@ -169,6 +224,18 @@ def test_smax_scales_exactly_by_powers_of_two(m, k):
     small = ldexp(m, k) if k < 0 else m
     big = ldexp(small, j)
     assert largest_singular_value(small) == 2.0 ** -j * largest_singular_value(big)
+
+
+@PROPERTY
+@given(matrices(), st.sampled_from([-600, 600]))
+def test_row_and_frobenius_norms_scale_exactly_by_powers_of_two(m, k):
+    # the pair (small, big = 2^j small) is built as in the s_max test above
+    j = abs(k)
+    small = ldexp(m, k) if k < 0 else m
+    big = ldexp(small, j)
+    assert np.array_equal(row_norms(small), 2.0 ** -j * row_norms(big))
+    assert normalization_factor(small) == 2.0 ** -j * normalization_factor(big)
+    assert norm_frobenius(small) == 2.0 ** -j * norm_frobenius(big)
 
 
 @PROPERTY

@@ -22,6 +22,14 @@ def test_rarity_stats_keys():
         "seed", "starts", "dim"]
 
 
+def test_rarity_record_keys():
+    records = []
+    run_rarity("random_normal", samples=1, seed=0, starts=2, sink=records.append)
+    assert list(records[0]) == [
+        "index", "ensemble", "matrix", "dim", "scale", "in_G", "q_value",
+        "q_stop_reason", "region", "in_G_prime", "optimizer_seed", "optimizer_starts"]
+
+
 def test_g6_certificate_keys():
     doc = certify_g6(starts=2, seed=0).to_dict()
     assert list(doc) == [
