@@ -22,6 +22,7 @@ from .linalg import (
     norm_entrywise_l1,
     norm_frobenius,
     pow2_normalize,
+    pow2_split,
     require_square,
 )
 
@@ -248,9 +249,7 @@ def _unit_scalars(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     # complex division by a subnormal overflows: scale each entry by an
     # exact power of two first
     nonzero = z != 0
-    w = z[nonzero]
-    _, e = np.frexp(np.abs(w))
-    w = np.ldexp(w.real, -e) + 1j * np.ldexp(w.imag, -e)
+    w, e = pow2_split(z[nonzero], axis=())
     w_norms = np.sqrt((w.conj() * w).real)
     out[nonzero] = w / w_norms
     norms[nonzero] = np.ldexp(w_norms, e)
@@ -268,12 +267,10 @@ def _unit_vectors(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     # the squares underflow: scale each vector by an exact power of two first
     z_t, out_t = z.transpose(1, 3, 0, 2), out.transpose(1, 3, 0, 2)
     nonzero = np.any(z_t, axis=(2, 3))
-    w = z_t[nonzero]
-    _, e = np.frexp(np.abs(w).max(axis=(1, 2)))
-    w = np.ldexp(w, -e[:, None, None])
+    w, e = pow2_split(z_t[nonzero], axis=(1, 2))
     w_norms = np.sqrt(np.einsum("vrc,vrc->v", w, w))
     out_t[nonzero] = w / w_norms[:, None, None]
-    norms[nonzero] = np.ldexp(w_norms, e)
+    norms[nonzero] = np.ldexp(w_norms, e[:, 0, 0])
     return norms
 
 

@@ -81,19 +81,30 @@ def norm_frobenius(m) -> float:
     return unit * float(np.linalg.norm(b))
 
 
-def pow2_normalize(a: np.ndarray):
-    """(a / 2^k, 2^k) with max |a_ij| / 2^k in [1/2, 1); (a, 1.0) for a zero matrix.
+def pow2_split(a: np.ndarray, axis=None):
+    """(a / 2^e, e): each slice of ``a`` along ``axis`` (the whole array when
+    None) scaled by the exact power of two that puts its largest modulus in
+    [1/2, 1); e is 0 for a zero slice and keeps the reduced axes, so it
+    broadcasts against ``a``.
 
-    Scaling by a power of two is exact, so a computation can run on a / 2^k,
-    free of underflow and overflow, and scale its result back without
-    rounding.
+    Scaling by a power of two is exact (scaling down rounds only the parts
+    more than 2^1021 times below their slice's largest modulus), so a
+    computation can run on the scaled slices, free of underflow and
+    overflow, and scale its result back without rounding.  This is the one
+    place in grothq that picks such a scale.
     """
-    top = float(np.abs(a).max())
-    if top == 0:
-        return a, 1.0
-    k = int(np.frexp(top)[1])
-    # ldexp on the real parts: complex division by a subnormal 2^k overflows
-    return np.ldexp(a.real, -k) + 1j * np.ldexp(a.imag, -k), float(np.ldexp(1.0, k))
+    _, e = np.frexp(np.abs(a).max(axis=axis, keepdims=True))
+    if np.iscomplexobj(a):
+        # ldexp on the real parts: complex division by a subnormal 2^e overflows
+        return np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e), e
+    return np.ldexp(a, -e), e
+
+
+def pow2_normalize(a: np.ndarray):
+    """(a / 2^k, 2^k) with max |a_ij| / 2^k in [1/2, 1); 2^k = 1 for a zero
+    matrix: the whole-array case of ``pow2_split``."""
+    b, e = pow2_split(a)
+    return b, float(np.ldexp(1.0, e.item()))
 
 
 def largest_singular_value(m) -> float:
@@ -125,7 +136,8 @@ def hermitian_eig(h, hermiticity_tol: float = 1e-12) -> EigenDecomposition:
 
     The input must be Hermitian entrywise to ``hermiticity_tol``; its
     Hermitian part (H + H^dagger)/2 is decomposed.  ``residual`` is
-    ||H V - V diag(lambda)||_F against the input H.
+    ||H V - V diag(lambda)||_F against the input H, computed on the
+    ``pow2_normalize``d H and scaled back, so it does not overflow for huge H.
     """
     h = require_square(h)
     dev = np.abs(h - h.conj().T).max()
@@ -137,15 +149,22 @@ def hermitian_eig(h, hermiticity_tol: float = 1e-12) -> EigenDecomposition:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Hermitian eigensolver did not converge: {exc}") from exc
     lam, v = lam[::-1], v[:, ::-1]
-    residual = float(np.linalg.norm(h @ v - v * lam))
+    b, unit = pow2_normalize(h)
+    residual = unit * float(np.linalg.norm(b @ v - v * (lam / unit)))
     return EigenDecomposition(lam, v, residual)
 
 
 def is_normal(m, tol: float = 1e-12) -> bool:
-    """True iff ||M M^dagger - M^dagger M||_F <= tol * (1 + ||M||_2^2)."""
-    a = require_square(m)
-    comm = a @ a.conj().T - a.conj().T @ a
-    return bool(np.linalg.norm(comm) <= tol * (1.0 + np.linalg.norm(a) ** 2))
+    """True iff ||M M^dagger - M^dagger M||_F <= tol * (1 + ||M||_F^2).
+
+    Both sides are divided by 4^k, the square of the ``pow2_normalize``
+    scale 2^k, so tiny or huge matrices neither underflow nor overflow; for
+    matrices in normal range the scaled comparison is exact.
+    """
+    b, unit = pow2_normalize(require_square(m))
+    comm = b @ b.conj().T - b.conj().T @ b
+    # 1.0 / unit / unit, not unit ** -2, which raises OverflowError for tiny M
+    return bool(np.linalg.norm(comm) <= tol * (1.0 / unit / unit + np.linalg.norm(b) ** 2))
 
 
 def fourier_matrix(d: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from .linalg import (
     largest_singular_value,
     norm_frobenius,
     pow2_normalize,
+    pow2_split,
     require_square,
 )
 
@@ -31,16 +32,13 @@ UNIT_SET_TOL = 1e-12
 def row_norms(m) -> np.ndarray:
     """Euclidean norms of the rows; entry i equals sqrt((M M^dagger)_ii).
 
-    Each row is scaled by an exact power of two, as ``pow2_normalize``
-    scales a matrix, before its squares are summed, and its norm is scaled
-    back; so tiny or huge rows neither underflow nor overflow, a row far
-    below the largest entry keeps its precision, and the norms scale exactly
-    with the matrix.
+    Each row is scaled by its own exact power of two (``pow2_split``) before
+    its squares are summed, and its norm is scaled back; so tiny or huge rows
+    neither underflow nor overflow, a row far below the largest entry keeps
+    its precision, and the norms scale exactly with the matrix.
     """
-    a = as_matrix(m)
-    _, e = np.frexp(np.abs(a).max(axis=1))
-    b = np.ldexp(a.real, -e[:, None]) + 1j * np.ldexp(a.imag, -e[:, None])
-    return np.ldexp(np.linalg.norm(b, axis=1), e)
+    b, e = pow2_split(as_matrix(m), axis=1)
+    return np.ldexp(np.linalg.norm(b, axis=1), e[:, 0])
 
 
 def normalization_factor(m) -> float:
@@ -67,8 +65,8 @@ class NormReport:
     row_norms: list
     n_factor: float
     frobenius: float
-    lower_bound: float       # ||M||_2 / sqrt(d)
-    upper_bound: float       # ||M||_2, or the spectral radius when M is normal
+    lower_bound: float       # ||M||_F / sqrt(d), the root mean square of the row norms
+    upper_bound: float       # ||M||_2 = s_max >= ||M^T e_i||, the norm of row i
     is_normal: bool
     in_S_d: bool
     all_rows_equal: bool     # when true the lower bound is tight
@@ -85,20 +83,15 @@ def norm_report(m, normal_tol: float = 1e-12) -> NormReport:
     rn = row_norms(a)
     n = float(rn.max())
     fro = norm_frobenius(a)
-    normal = is_normal(a, normal_tol)
-    lower = fro / np.sqrt(d)
-    upper = largest_singular_value(a) if normal else fro
-    scale = max(rn.max(), 1.0)
-    all_equal = bool(np.allclose(rn, rn[0], atol=1e-12 * scale, rtol=0.0))
-    nonzero_rows = int((rn > 1e-12 * scale).sum())
+    floor = 1e-12 * n                 # relative to N, so the flags do not depend on scale
     return NormReport(
         row_norms=list(map(float, rn)),
         n_factor=n,
         frobenius=fro,
-        lower_bound=float(lower),
-        upper_bound=float(upper),
-        is_normal=normal,
+        lower_bound=float(fro / np.sqrt(d)),
+        upper_bound=largest_singular_value(a),
+        is_normal=is_normal(a, normal_tol),
         in_S_d=bool(n <= 1.0 + UNIT_SET_TOL),
-        all_rows_equal=all_equal,
-        single_nonzero_row=bool(nonzero_rows == 1),
+        all_rows_equal=bool(np.allclose(rn, rn[0], atol=floor, rtol=0.0)),
+        single_nonzero_row=bool((rn > floor).sum() == 1),
     )

@@ -6,6 +6,7 @@ from grothq import (
     build_family,
     build_projector,
     fourier_matrix,
+    hermitian_eig,
     largest_singular_value,
     norm_frobenius,
     norm_report,
@@ -116,6 +117,19 @@ def test_to_unit_s_and_report_of_tiny_and_huge_matrices():
         assert rep.row_norms == pytest.approx([np.sqrt(2) * x] * 2, rel=1e-15)
         assert rep.n_factor == pytest.approx(np.sqrt(2) * x, rel=1e-15)
         assert rep.frobenius == pytest.approx(2 * x, rel=1e-15)
+        assert rep.is_normal
+    # a Hermitian matrix at 1e200, whose commutator and residual overflow unscaled
+    h = 1e200 * np.array([[1, 1j], [-1j, 2]])
+    assert hermitian_eig(h).residual <= 1e-12 * norm_frobenius(h)
+    rep = norm_report(h)
+    assert rep.is_normal
+    assert rep.upper_bound == pytest.approx(1e200 * (3 + np.sqrt(5)) / 2, rel=1e-15)
+    # one nonzero row, at any scale
+    for x in (1e-200, 1.0, 1e200):
+        m = np.zeros((2, 2))
+        m[0] = x
+        rep = norm_report(m)
+        assert rep.single_nonzero_row and not rep.all_rows_equal
 
 
 # --- norm report ---

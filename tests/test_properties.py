@@ -12,17 +12,19 @@ from grothq import (
     g_lower,
     g_upper,
     hermitian_eig,
+    is_normal,
     largest_singular_value,
     max_q_lower,
     norm_entrywise_l1,
     norm_frobenius,
+    norm_report,
     normalization_factor,
     phase_system_solvable,
     row_norms,
 )
 from grothq.experiments import _h6_norm_sq, _h6_phase_ascent
 from grothq.forms import G_PRIME_TOL, classify, g_prime, unit_set_verdicts
-from grothq.linalg import pow2_normalize
+from grothq.linalg import pow2_normalize, pow2_split
 
 # derandomized so that every run of the suite checks the same examples
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -236,6 +238,53 @@ def test_row_and_frobenius_norms_scale_exactly_by_powers_of_two(m, k):
     assert np.array_equal(row_norms(small), 2.0 ** -j * row_norms(big))
     assert normalization_factor(small) == 2.0 ** -j * normalization_factor(big)
     assert norm_frobenius(small) == 2.0 ** -j * norm_frobenius(big)
+    rep_small, rep_big = norm_report(small), norm_report(big)
+    assert rep_small.upper_bound == 2.0 ** -j * rep_big.upper_bound
+    assert rep_small.all_rows_equal == rep_big.all_rows_equal
+    assert rep_small.single_nonzero_row == rep_big.single_nonzero_row
+    # is_normal's tolerance has an absolute term, negligible once ||M||_F >
+    # 2^60; from there on the verdict is that of the pow2_normalized matrix
+    if norm_frobenius(big) > 2.0 ** 60:
+        assert is_normal(big) == is_normal(ldexp(pow2_normalize(big)[0], 100))
+    for h in (small + small.conj().T, big + big.conj().T):
+        assert hermitian_eig(h).residual <= 1e-12 * norm_frobenius(h)
+
+
+@st.composite
+def split_inputs(draw):
+    """A real or complex (n, d, k) array of moduli from subnormal to huge,
+    and an axis argument for pow2_split."""
+    dtype, elements = draw(st.sampled_from([
+        (float, st.floats(allow_nan=False, allow_infinity=False)),
+        # moduli above the largest float would overflow np.abs
+        (complex, st.complex_numbers(max_magnitude=1e307, allow_nan=False,
+                                     allow_infinity=False)),
+    ]))
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    a = draw(arrays(dtype, shape, elements=elements))
+    return a, draw(st.sampled_from([None, 1, (1, 2), ()]))
+
+
+@PROPERTY
+@given(split_inputs())
+def test_pow2_split_scales_each_slice_exactly(a_axis):
+    a, axis = a_axis
+    b, e = pow2_split(a, axis)
+    top_a = np.abs(a).max(axis=axis, keepdims=True)
+    assert e.shape == top_a.shape
+    # scaling up is exact; scaling down rounds only the parts that land
+    # below TINY, by at most half a subnormal step
+    back = ldexp(b, e)
+    for part_b, part_back, part_a in ((b.real, back.real, a.real), (b.imag, back.imag, a.imag)):
+        exact = (e <= 0) | (part_a == 0) | (np.abs(part_b) >= TINY)
+        assert np.array_equal(part_back[exact], part_a[exact])
+        assert np.all(np.abs(part_back - part_a) <= np.ldexp(1.0, e - 1075))
+    top_b = np.abs(b).max(axis=axis, keepdims=True)
+    assert np.all(e[top_a == 0] == 0)
+    # below TINY np.abs rounds the modulus of a complex entry to the
+    # subnormal grid, so it can cross a power of two
+    checked = top_a >= TINY if np.iscomplexobj(a) else top_a > 0
+    assert np.all((0.5 <= top_b[checked]) & (top_b[checked] < 1))
 
 
 @PROPERTY
