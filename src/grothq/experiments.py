@@ -200,7 +200,10 @@ def _h6_phase_ascent(t: np.ndarray, max_rounds: int = 2000):
     return t, values
 
 
-def certify_g6(starts: int = 64, seed: int = 0, tol: float = 1e-6) -> G6Certificate:
+G6_AGREEMENT_TOL = 1e-6
+
+
+def certify_g6(starts: int = 64, seed: int = 0) -> G6Certificate:
     """Cross-check the classical supremum of Pi_6 along two routes.
 
     Route 1 maximizes F(t) = sum_i |(Pi t)_i| on the torus (the general
@@ -210,7 +213,8 @@ def certify_g6(starts: int = 64, seed: int = 0, tol: float = 1e-6) -> G6Certific
     R in [0, 1)^6 and chi in [-pi, pi)^6 drawn from ``default_rng(seed ^ i)``.
     The all-ones point, a fixed point of the ascent at ||A t||^2 / 2 = 10, is
     only evaluated for the ``allones_*`` fields, never used as a start.  The
-    routes must agree within ``tol``; disagreement raises ConsistencyError.
+    routes must agree within ``G6_AGREEMENT_TOL``; disagreement raises
+    ConsistencyError.
     """
     cfg = OptimizerConfig(starts=starts, seed=seed)
     general = g_lower(_projector_for(3), cfg)
@@ -222,7 +226,7 @@ def certify_g6(starts: int = 64, seed: int = 0, tol: float = 1e-6) -> G6Certific
     best = float(_h6_phase_ascent(t0)[1].max())
 
     specialized_value = best / 2.0
-    agrees = abs(general.best_value - specialized_value) <= tol
+    agrees = abs(general.best_value - specialized_value) <= G6_AGREEMENT_TOL
     if not agrees:
         raise ConsistencyError(
             f"optimization routes disagree: general {general.best_value} vs "

@@ -51,6 +51,7 @@ K_G_UPPER = 1.4049
 
 _SMALL = np.sqrt(np.finfo(float).tiny)   # below it, squared moduli underflow
 _PHASE_CACHE_SIZE = 32                   # (seed, starts, d) start sets kept by _seeded_phases
+TUPLE_TOL = 1e-12                        # rounding slack of the tuple constraints
 
 
 @dataclass
@@ -58,8 +59,6 @@ class PolydiscTuple:
     """A d-tuple of complex scalars under a polydisc or ball constraint."""
     values: np.ndarray
     constraint_kind: str = "unit_disc"   # "unit_disc" | "ball_d"
-
-    TOL = 1e-12
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex).ravel()
@@ -73,12 +72,12 @@ class PolydiscTuple:
         d = self.values.size
         if self.constraint_kind == "unit_disc":
             worst = float(np.abs(self.values).max()) if d else 0.0
-            if worst > 1.0 + self.TOL:
+            if worst > 1.0 + TUPLE_TOL:
                 raise InputValidationError(
                     f"unit-disc tuple has modulus {worst} > 1")
         else:
             total = float((np.abs(self.values) ** 2).sum())
-            if total > d * (1.0 + self.TOL):
+            if total > d * (1.0 + TUPLE_TOL):
                 raise InputValidationError(
                     f"ball tuple has squared norm {total} > d = {d}")
         return self
@@ -93,11 +92,9 @@ class VectorTuple:
     unit_vectors: np.ndarray   # (d, d), rows of unit (or zero) norm
     scales: np.ndarray         # (d,), each in [0, 1]
 
-    TOL = 1e-12
-
     def validate(self):
         norms = np.linalg.norm(self.scaled(), axis=1)
-        if norms.max(initial=0.0) > 1.0 + self.TOL:
+        if norms.max(initial=0.0) > 1.0 + TUPLE_TOL:
             raise InputValidationError(
                 f"vector tuple leaves the unit ball: max norm {norms.max()}")
         return self
@@ -340,7 +337,7 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
         ones = PolydiscTuple(np.ones(d)).validate()
         return _zero_matrix_run(cfg, n, (ones, ones))
 
-    b, unit = pow2_normalize(a)
+    b, k = pow2_normalize(a)
     seeded = _initial_phases(cfg, d).T
     phases = np.hstack([seeded, seeded.conj()])     # (d, 2n)
     # rows 0..2n-1 take the phases as t, rows 2n..4n-1 as s; y keeps its
@@ -365,11 +362,11 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
     witness = (PolydiscTuple(s_best).validate(), PolydiscTuple(t_best).validate())
     return OptimizerRun(
         config=cfg,
-        best_value=unit * float(np.abs(r_best).sum()),
+        best_value=float(np.ldexp(np.abs(r_best).sum(), k)),
         best_witness=witness,
         converged_fraction=1 - len(set((cut % n).tolist())) / n,
-        per_start_values=[unit * float(x) for x in q.reshape(4, n).max(axis=0)],
-        iterations_used=[int(k) for k in used.reshape(4, n).max(axis=0)],
+        per_start_values=np.ldexp(q.reshape(4, n).max(axis=0), k).tolist(),
+        iterations_used=used.reshape(4, n).max(axis=0).tolist(),
         stop_reason="budget" if cut.size else "tolerance",
     )
 
@@ -402,13 +399,13 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
     xy = np.zeros((2, 2, d, d, n))
     w = np.array([np.conj(s_w.values), t_w.values])  # start 0: g_lower's witness
     xy[:, 0, :, 0, 0], xy[:, 1, :, 0, 0] = w.real, w.imag
-    for k in range(cfg.starts):
-        r = np.random.default_rng(cfg.seed ^ k).standard_normal((4, d, d))
-        xy[..., k + 1] = r.reshape(2, 2, d, d)      # Re x, Im x, Re y, Im y
+    for i in range(cfg.starts):
+        r = np.random.default_rng(cfg.seed ^ i).standard_normal((4, d, d))
+        xy[..., i + 1] = r.reshape(2, 2, d, d)      # Re x, Im x, Re y, Im y
     for v in xy:
         _unit_vectors(v[..., 1:], v[..., 1:])
 
-    b, unit = pow2_normalize(a)
+    b, k = pow2_normalize(a)
     x, y = xy[:, 0] + 1j * xy[:, 1]
     q = np.abs(np.einsum("ij,iks,jks->s", b, x.conj(), y))
     b_r = np.block([[b.real, -b.imag], [b.imag, b.real]])
@@ -419,11 +416,11 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
     witness = (VectorTuple.from_rows(x).validate(), VectorTuple.from_rows(y).validate())
     return OptimizerRun(
         config=cfg,
-        best_value=unit * float(q[best]),
+        best_value=float(np.ldexp(q[best], k)),
         best_witness=witness,
         converged_fraction=(n - cut.size) / n,
-        per_start_values=[unit * float(v) for v in q],
-        iterations_used=[int(k) for k in used],
+        per_start_values=np.ldexp(q, k).tolist(),
+        iterations_used=used.tolist(),
         stop_reason="budget" if cut.size else "tolerance",
     )
 
@@ -450,13 +447,16 @@ class PhaseSystemReport:
         return asdict(self)
 
 
-def phase_system_solvable(theta, tol: float = 1e-9) -> PhaseSystemReport:
+PHASE_TOL = 1e-9
+
+
+def phase_system_solvable(theta) -> PhaseSystemReport:
     """Decide phi_ij = chi_i + psi_j (mod 2 pi) over the nonzero entries, in O(d + nnz).
 
     On the support graph (vertices: rows i and columns d + j; edges: nonzero
     entries) a BFS spanning forest sets each root to 0 and each child to
     arg theta_ij - value(parent), with principal arguments in (-pi, pi].  The
-    system is solvable iff every edge then closes modulo 2 pi within ``tol``
+    system is solvable iff every edge then closes modulo 2 pi within ``PHASE_TOL``
     radians; then g(theta) = ||theta||_1, with the forest values as witness.
     """
     a = require_square(theta)
@@ -485,11 +485,11 @@ def phase_system_solvable(theta, tol: float = 1e-9) -> PhaseSystemReport:
     rank = sum(map(bool, adj)) - components
     forest = np.array([0.0 if x is None else x for x in value])
     gap = forest[rows] + forest[cols + d] - phi
-    if np.any(np.abs(gap - 2.0 * np.pi * np.round(gap / (2.0 * np.pi))) > tol):
+    if np.any(np.abs(gap - 2.0 * np.pi * np.round(gap / (2.0 * np.pi))) > PHASE_TOL):
         return PhaseSystemReport(False, rows.size, rank, rank + 1)
     return PhaseSystemReport(True, rows.size, rank, rank,
                              chi=forest[:d].tolist(), psi=forest[d:].tolist(),
-                             used_shift_enumeration=bool(np.any(np.abs(gap) > tol)))
+                             used_shift_enumeration=bool(np.any(np.abs(gap) > PHASE_TOL)))
 
 
 @dataclass

@@ -43,12 +43,14 @@ class ConvergenceError(RuntimeError):
 
 
 def as_matrix(m) -> np.ndarray:
-    """Validate and return a 2-D complex128 array with finite entries."""
+    """Validate and return a 2-D complex128 array whose entries have finite
+    moduli (so neither part is nan or inf, nor is the modulus past the float
+    range)."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise InputValidationError(f"expected a 2-D matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():               # complex: False if either part is nan or inf
-        raise InputValidationError("matrix contains non-finite entries")
+    if not np.isfinite(np.abs(a)).all():
+        raise InputValidationError("matrix contains entries with non-finite moduli")
     return a
 
 
@@ -66,8 +68,8 @@ def norm_entrywise_l1(m) -> float:
     subnormal entries keep their precision; for other matrices the result is
     bit-identical to summing the moduli directly.
     """
-    b, unit = pow2_normalize(as_matrix(m))
-    return unit * float(np.abs(b).sum())
+    b, k = pow2_normalize(as_matrix(m))
+    return float(np.ldexp(np.abs(b).sum(), k))
 
 
 def norm_frobenius(m) -> float:
@@ -77,8 +79,8 @@ def norm_frobenius(m) -> float:
     huge matrices neither underflow nor overflow and the result scales
     exactly with the matrix.
     """
-    b, unit = pow2_normalize(as_matrix(m))
-    return unit * float(np.linalg.norm(b))
+    b, k = pow2_normalize(as_matrix(m))
+    return float(np.ldexp(np.linalg.norm(b), k))
 
 
 def pow2_split(a: np.ndarray, axis=None):
@@ -90,8 +92,9 @@ def pow2_split(a: np.ndarray, axis=None):
     Scaling by a power of two is exact (scaling down rounds only the parts
     more than 2^1021 times below their slice's largest modulus), so a
     computation can run on the scaled slices, free of underflow and
-    overflow, and scale its result back without rounding.  This is the one
-    place in grothq that picks such a scale.
+    overflow, and scale its result back with ``np.ldexp(x, e)``, exact up to
+    the top of the float range.  This is the one place in grothq that picks
+    such a scale.
     """
     _, e = np.frexp(np.abs(a).max(axis=axis, keepdims=True))
     if np.iscomplexobj(a):
@@ -101,10 +104,10 @@ def pow2_split(a: np.ndarray, axis=None):
 
 
 def pow2_normalize(a: np.ndarray):
-    """(a / 2^k, 2^k) with max |a_ij| / 2^k in [1/2, 1); 2^k = 1 for a zero
-    matrix: the whole-array case of ``pow2_split``."""
+    """(a / 2^k, k) with max |a_ij| / 2^k in [1/2, 1) and k an int, 0 for a
+    zero matrix: the whole-array case of ``pow2_split``."""
     b, e = pow2_split(a)
-    return b, float(np.ldexp(1.0, e.item()))
+    return b, e.item()
 
 
 def largest_singular_value(m) -> float:
@@ -115,12 +118,12 @@ def largest_singular_value(m) -> float:
     result scales exactly with the matrix.  For normal matrices it equals
     the spectral radius.
     """
-    b, unit = pow2_normalize(require_square(m))
+    b, k = pow2_normalize(require_square(m))
     try:
         s = np.linalg.svd(b, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
-    return unit * float(s[0])
+    return float(np.ldexp(s[0], k))
 
 
 @dataclass
@@ -131,40 +134,47 @@ class EigenDecomposition:
     residual: float
 
 
-def hermitian_eig(h, hermiticity_tol: float = 1e-12) -> EigenDecomposition:
+HERMITICITY_TOL = 1e-12
+
+
+def hermitian_eig(h) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, from LAPACK via numpy.
 
-    The input must be Hermitian entrywise to ``hermiticity_tol``; its
-    Hermitian part (H + H^dagger)/2 is decomposed.  ``residual`` is
-    ||H V - V diag(lambda)||_F against the input H, computed on the
-    ``pow2_normalize``d H and scaled back, so it does not overflow for huge H.
+    The input must be Hermitian entrywise to ``HERMITICITY_TOL``.  The
+    Hermitian part (B + B^dagger)/2 of the ``pow2_normalize``d B = H / 2^k is
+    decomposed and its eigenvalues scaled back, so tiny or huge H neither
+    underflow nor overflow and the eigenvalues scale exactly with H.
+    ``residual`` is ||H V - V diag(lambda)||_F against the input H.
     """
     h = require_square(h)
     dev = np.abs(h - h.conj().T).max()
-    if dev > hermiticity_tol:
+    if dev > HERMITICITY_TOL:
         raise InputValidationError(
             f"matrix is not Hermitian: max |H_ij - conj(H_ji)| = {dev:.3e}")
+    b, k = pow2_normalize(h)
     try:
-        lam, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+        lam, v = np.linalg.eigh((b + b.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Hermitian eigensolver did not converge: {exc}") from exc
     lam, v = lam[::-1], v[:, ::-1]
-    b, unit = pow2_normalize(h)
-    residual = unit * float(np.linalg.norm(b @ v - v * (lam / unit)))
-    return EigenDecomposition(lam, v, residual)
+    residual = float(np.ldexp(np.linalg.norm(b @ v - v * lam), k))
+    return EigenDecomposition(np.ldexp(lam, k), v, residual)
 
 
-def is_normal(m, tol: float = 1e-12) -> bool:
-    """True iff ||M M^dagger - M^dagger M||_F <= tol * (1 + ||M||_F^2).
+NORMAL_TOL = 1e-12
+
+
+def is_normal(m) -> bool:
+    """True iff ||M M^dagger - M^dagger M||_F <= NORMAL_TOL * (1 + ||M||_F^2).
 
     Both sides are divided by 4^k, the square of the ``pow2_normalize``
     scale 2^k, so tiny or huge matrices neither underflow nor overflow; for
     matrices in normal range the scaled comparison is exact.
     """
-    b, unit = pow2_normalize(require_square(m))
-    comm = b @ b.conj().T - b.conj().T @ b
-    # 1.0 / unit / unit, not unit ** -2, which raises OverflowError for tiny M
-    return bool(np.linalg.norm(comm) <= tol * (1.0 / unit / unit + np.linalg.norm(b) ** 2))
+    b, k = pow2_normalize(require_square(m))
+    # 4^-k capped at 2^1023: the bound then exceeds ||B B^H - B^H B||_F <= 2 d^2 anyway
+    bound = NORMAL_TOL * (np.ldexp(1.0, min(-2 * k, 1023)) + np.linalg.norm(b) ** 2)
+    return bool(np.linalg.norm(b @ b.conj().T - b.conj().T @ b) <= bound)
 
 
 def fourier_matrix(d: int) -> np.ndarray:
@@ -186,8 +196,11 @@ def permutation_matrix(pi) -> np.ndarray:
     return tau
 
 
-def eigenvalue_multiplicities(eigenvalues, cluster_tol: float = 1e-8):
-    """Group sorted eigenvalues into clusters within ``cluster_tol``.
+CLUSTER_TOL = 1e-8
+
+
+def eigenvalue_multiplicities(eigenvalues):
+    """Group sorted eigenvalues into clusters within ``CLUSTER_TOL``.
 
     Returns a list of (representative_value, multiplicity) pairs, in the order
     the eigenvalues appear.
@@ -195,7 +208,7 @@ def eigenvalue_multiplicities(eigenvalues, cluster_tol: float = 1e-8):
     lam = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
     groups = []
     for x in lam:
-        if groups and abs(groups[-1][0] - x) <= cluster_tol:
+        if groups and abs(groups[-1][0] - x) <= CLUSTER_TOL:
             val, count = groups[-1]
             groups[-1] = (val, count + 1)
         else:

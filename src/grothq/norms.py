@@ -76,7 +76,7 @@ class NormReport:
         return asdict(self)
 
 
-def norm_report(m, normal_tol: float = 1e-12) -> NormReport:
+def norm_report(m) -> NormReport:
     """Full report for a square matrix: factor, bracket, and equality flags."""
     a = require_square(m)
     d = a.shape[0]
@@ -90,7 +90,7 @@ def norm_report(m, normal_tol: float = 1e-12) -> NormReport:
         frobenius=fro,
         lower_bound=float(fro / np.sqrt(d)),
         upper_bound=largest_singular_value(a),
-        is_normal=is_normal(a, normal_tol),
+        is_normal=is_normal(a),
         in_S_d=bool(n <= 1.0 + UNIT_SET_TOL),
         all_rows_equal=bool(np.allclose(rn, rn[0], atol=floor, rtol=0.0)),
         single_nonzero_row=bool((rn > floor).sum() == 1),

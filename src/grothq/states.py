@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    CLUSTER_TOL,
     InputValidationError,
     eigenvalue_multiplicities,
     hermitian_eig,
@@ -97,15 +98,19 @@ def _overlap_matrix(family: StateFamily) -> np.ndarray:
     return family.states.conj() @ family.states.T
 
 
-def isotropy_check(family: StateFamily, tol: float = 1e-10):
+# entrywise slack of the isotropy and permutation checks
+FAMILY_TOL = 1e-10
+
+
+def isotropy_check(family: StateFamily):
     """True iff the sorted multiset {|<a_i|a_j>|^2}_j is the same for every i."""
     probs = np.abs(_overlap_matrix(family)) ** 2
     multisets = np.sort(probs, axis=1)
-    ok = bool(np.all(np.abs(multisets - multisets[0]) <= tol))
+    ok = bool(np.all(np.abs(multisets - multisets[0]) <= FAMILY_TOL))
     return ok, multisets
 
 
-def permutation_invariance_check(family: StateFamily, tol: float = 1e-10):
+def permutation_invariance_check(family: StateFamily):
     """Check closure of the family under all position permutations, up to phase.
 
     Returns (ok, mapping) where mapping[(pi, i)] = (j, phase) whenever the
@@ -126,8 +131,8 @@ def permutation_invariance_check(family: StateFamily, tol: float = 1e-10):
         for i in range(family.count):
             j = int(np.abs(overlaps[i]).argmax())
             phase = overlaps[i, j]
-            if abs(abs(phase) - 1.0) > tol or \
-               np.abs(permuted[i] - phase * states[j]).max() > tol:
+            if abs(abs(phase) - 1.0) > FAMILY_TOL or \
+               np.abs(permuted[i] - phase * states[j]).max() > FAMILY_TOL:
                 ok = False
                 mapping[(pi, i)] = None
             else:
@@ -186,7 +191,7 @@ def build_projector(family: StateFamily) -> OverlapProjector:
     pi = _overlap_matrix(family) / (d - 1)
     eig = hermitian_eig(pi)
     clusters = eigenvalue_multiplicities(eig.eigenvalues)
-    rank = sum(count for value, count in clusters if abs(value - 1.0) <= 1e-8)
+    rank = sum(count for value, count in clusters if abs(value - 1.0) <= CLUSTER_TOL)
     return OverlapProjector(dim_big=family.count, matrix=pi, rank=int(rank),
                             eigenvalues=eig.eigenvalues)
 

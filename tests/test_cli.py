@@ -105,6 +105,17 @@ def test_cli_exit_2_on_bad_matrix(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["classify", "norms"])
+def test_cli_exit_2_on_entry_whose_modulus_overflows(tmp_path, capsys, command):
+    # both parts are finite floats, the modulus is not
+    path = tmp_path / "top.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [[1.5e308, 1.5e308]] * 4}))
+    assert dispatch([command, "--matrix", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 # --- subcommands ---
 
 def test_norms_subcommand(tmp_path, capsys):

@@ -37,7 +37,7 @@ def test_random_density_is_density():
 def test_random_normal_is_normal():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        assert is_normal(random_normal_matrix(rng, 5), 1e-10)
+        assert is_normal(random_normal_matrix(rng, 5))
 
 
 def test_random_projector_idempotent():

@@ -575,6 +575,22 @@ def test_classify_bracket_orders():
         assert res.g_upper <= res.l1_norm + 1e-12
 
 
+def test_classify_at_the_top_of_the_float_range():
+    # ||theta||_1 = 1.1e308 is a float, the scale 2^1024 of theta is not;
+    # g' = 2e308 overflows, so the scaling entry built from it is not checked
+    res = classify(np.diag([1e308, 1e307]), SMALL)
+    assert res.g_upper == res.l1_norm == 1.1e308
+    assert res.g_lower == pytest.approx(1.1e308, rel=1e-15, abs=0)
+    assert res.in_G == "certified_no"
+
+
+def test_max_q_lower_at_the_top_of_the_float_range():
+    # the trace-form supremum of a diagonal theta is ||theta||_1
+    run = max_q_lower(np.diag([1e308, 1e307]), SMALL)
+    assert run.best_value == pytest.approx(1.1e308, rel=1e-15, abs=0)
+    assert max(run.per_start_values) == run.best_value
+
+
 def test_classify_gro10_condition():
     res = classify(pi(3) / 6, SMALL)
     # l1 = 1.5 > 1 and membership is certified: the necessary condition holds

@@ -36,7 +36,8 @@ def _with_entry(value):
 
 
 @pytest.mark.parametrize("value", [complex(0.5, np.nan), complex(-np.inf, 0.0),
-                                   complex(np.nan, 0.0), complex(0.0, np.inf)])
+                                   complex(np.nan, 0.0), complex(0.0, np.inf),
+                                   complex(1.5e308, 1.5e308)])   # finite parts, modulus inf
 def test_as_matrix_rejects_nan_or_inf_in_either_part(value):
     with pytest.raises(InputValidationError, match="non-finite"):
         as_matrix(_with_entry(value))
@@ -110,6 +111,23 @@ def test_frobenius_squared_equals_trace():
         lhs = norm_frobenius(m) ** 2
         rhs = np.trace(m @ m.conj().T).real
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+# --- the top of the float range ---
+
+def test_norms_of_a_matrix_at_the_top_of_the_float_range():
+    # its largest modulus needs the scale 2^1024, which is not a float
+    m = np.diag([1e308, 0])
+    assert largest_singular_value(m) == 1e308
+    assert norm_frobenius(m) == 1e308
+    assert norm_entrywise_l1(m) == 1e308
+
+
+def test_eig_at_the_top_of_the_float_range():
+    # (H + H^dagger) / 2 of the unscaled matrix overflows
+    dec = hermitian_eig(np.diag([1e308, 1e307]))
+    assert np.array_equal(dec.eigenvalues, [1e308, 1e307])
+    assert np.isfinite(dec.residual)
 
 
 # --- largest singular value ---
@@ -241,17 +259,17 @@ def test_eig_rejects_non_hermitian():
 
 def test_is_normal_unitary():
     rng = np.random.default_rng(8)
-    assert is_normal(random_unitary(rng, 5), 1e-12)
+    assert is_normal(random_unitary(rng, 5))
 
 
 def test_is_normal_single_entry_false():
     m = np.zeros((2, 2))
     m[0, 1] = 1.0
-    assert not is_normal(m, 1e-12)
+    assert not is_normal(m)
 
 
 def test_is_normal_pi6():
-    assert is_normal(pi6(), 1e-12)
+    assert is_normal(pi6())
 
 
 # --- Fourier matrix ---

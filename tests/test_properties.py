@@ -2,7 +2,7 @@
 the unit-set verdicts and the LAPACK-backed linear algebra."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from grothq import (
@@ -53,6 +53,16 @@ TINY = np.finfo(float).tiny
 
 def close(value, reference, rel):
     return abs(value - reference) <= rel * max(abs(reference), TINY)
+
+
+# 2^TOP times an entry of modulus 8..10 lies in the float range's top binade,
+# [2^1023, 2^1024), whose scale 2^1024 is not a float
+TOP = 1020
+
+
+def fits(value, j):
+    """True iff 2^j * value is a finite float."""
+    return np.frexp(value)[1] + j <= 1024
 
 
 @PROPERTY
@@ -139,7 +149,7 @@ def unit_rows(z, keep):
 def reference_max_q_values(theta, cfg):
     """max_q_lower's per-start values from a plain complex alternation, one
     start at a time: the same starts, settle rule and round cap."""
-    b, unit = pow2_normalize(theta)
+    b, e = pow2_normalize(theta)
     d = b.shape[0]
     s, t = g_lower(theta, cfg).best_witness
     e0 = np.eye(d)[0]
@@ -157,7 +167,7 @@ def reference_max_q_values(theta, cfg):
             q, q_prev = norms.sum(), q
             if abs(q - q_prev) < 1e-3 * cfg.phase_tolerance:
                 break
-        values.append(unit * q)
+        values.append(np.ldexp(q, e))
     return values
 
 
@@ -181,12 +191,14 @@ def ldexp(m, k):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(matrices(), st.sampled_from([-600, 600]), configs)
+@given(matrices(), st.sampled_from([-600, 600, TOP]), configs)
 def test_max_q_lower_scales_exactly_by_powers_of_two(m, j, cfg):
     # theta and 2^j theta normalize to the same matrix; for j < 0 theta is
     # built as 2^-j times a scaled-down m, so that 2^j theta is exact
     theta = ldexp(ldexp(m, j), -j) if j < 0 else m
-    run, scaled = max_q_lower(theta, cfg), max_q_lower(ldexp(theta, j), cfg)
+    run = max_q_lower(theta, cfg)
+    assume(fits(run.best_value, j))
+    scaled = max_q_lower(ldexp(theta, j), cfg)
     assert scaled.best_value == 2.0 ** j * run.best_value
     assert scaled.per_start_values == [2.0 ** j * v for v in run.per_start_values]
 
@@ -217,23 +229,39 @@ def test_smax_matches_svd(m):
 
 
 @PROPERTY
-@given(matrices(), st.sampled_from([-1070, -600, 600]))
+@given(matrices(), st.sampled_from([-1070, -600, 600, TOP]))
 def test_smax_scales_exactly_by_powers_of_two(m, k):
     # scaling up by 2^j is exact, scaling down may round entries that
     # underflow: build the pair (small, big = 2^j small) by scaling up, then
     # compare the big result scaled down, a single rounding like the small one
     j = abs(k)
     small = ldexp(m, k) if k < 0 else m
+    assume(fits(largest_singular_value(small), j))
     big = ldexp(small, j)
     assert largest_singular_value(small) == 2.0 ** -j * largest_singular_value(big)
 
 
 @PROPERTY
-@given(matrices(), st.sampled_from([-600, 600]))
+@given(matrices(), st.sampled_from([-1070, -600, 600, TOP]))
+def test_hermitian_eig_scales_exactly_by_powers_of_two(m, k):
+    # the pair (small, big = 2^j small) is built as in the s_max test above;
+    # rounding keeps a Hermitian matrix Hermitian
+    j = abs(k)
+    h = m + m.conj().T
+    small = ldexp(h, k) if k < 0 else h
+    assume(fits(largest_singular_value(small), j))
+    big = ldexp(small, j)
+    assert np.array_equal(hermitian_eig(small).eigenvalues,
+                          2.0 ** -j * hermitian_eig(big).eigenvalues)
+
+
+@PROPERTY
+@given(matrices(), st.sampled_from([-600, 600, TOP]))
 def test_row_and_frobenius_norms_scale_exactly_by_powers_of_two(m, k):
     # the pair (small, big = 2^j small) is built as in the s_max test above
     j = abs(k)
     small = ldexp(m, k) if k < 0 else m
+    assume(fits(norm_frobenius(small), j))
     big = ldexp(small, j)
     assert np.array_equal(row_norms(small), 2.0 ** -j * row_norms(big))
     assert normalization_factor(small) == 2.0 ** -j * normalization_factor(big)
@@ -246,7 +274,8 @@ def test_row_and_frobenius_norms_scale_exactly_by_powers_of_two(m, k):
     # 2^60; from there on the verdict is that of the pow2_normalized matrix
     if norm_frobenius(big) > 2.0 ** 60:
         assert is_normal(big) == is_normal(ldexp(pow2_normalize(big)[0], 100))
-    for h in (small + small.conj().T, big + big.conj().T):
+    scales = (small, big) if fits(2 * norm_frobenius(small), j) else (small,)
+    for h in (x + x.conj().T for x in scales):
         assert hermitian_eig(h).residual <= 1e-12 * norm_frobenius(h)
 
 

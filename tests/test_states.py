@@ -242,7 +242,7 @@ def test_projector_spectrum_multiplicities():
     for d in (3, 4, 5):
         p = build_projector(build_family(d)).matrix
         lam = hermitian_eig(p).eigenvalues
-        clusters = eigenvalue_multiplicities(lam, cluster_tol=1e-8)
+        clusters = eigenvalue_multiplicities(lam)
         assert [(round(v), c) for v, c in clusters] == [(1, d), (0, d * d - 2 * d)]
 
 
