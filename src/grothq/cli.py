@@ -68,22 +68,17 @@ def load_config(path) -> CliConfig:
     return CliConfig(forms.OptimizerConfig(**settings), output_path)
 
 
-def parse_matrix_file(path: str) -> np.ndarray:
-    """Load and validate a matrix JSON file (the schema in matrix_io)."""
-    return matrix_io.load_matrix(path)
-
-
 def _emit(doc: dict):
     print(json.dumps(doc))
 
 
 def cmd_norms(args, cli_cfg):
-    m = parse_matrix_file(args.matrix)
+    m = matrix_io.load_matrix(args.matrix)
     _emit(norms.norm_report(m).to_dict())
 
 
 def cmd_gbound(args, cli_cfg):
-    a = require_square(parse_matrix_file(args.matrix))
+    a = require_square(matrix_io.load_matrix(args.matrix))
     smax = largest_singular_value(a)
     d = a.shape[0]
     l1 = norm_entrywise_l1(a)
@@ -97,7 +92,7 @@ def cmd_gbound(args, cli_cfg):
 
 
 def cmd_classify(args, cli_cfg):
-    m = parse_matrix_file(args.matrix)
+    m = matrix_io.load_matrix(args.matrix)
     cfg = cli_cfg.optimizer
     result = forms.classify(m, cfg)
     doc = result.to_dict()
@@ -106,7 +101,7 @@ def cmd_classify(args, cli_cfg):
 
 
 def cmd_phases(args, cli_cfg):
-    m = parse_matrix_file(args.matrix)
+    m = matrix_io.load_matrix(args.matrix)
     _emit(forms.phase_system_solvable(m).to_dict())
 
 

@@ -16,10 +16,10 @@ __all__ = [
 ]
 
 
-def complex_gaussian(rng, d: int, scale: float = 1.0) -> np.ndarray:
+def complex_gaussian(rng, d: int) -> np.ndarray:
     """d x d matrix with iid standard complex Gaussian entries."""
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return scale * z / np.sqrt(2.0)
+    return z / np.sqrt(2.0)
 
 
 def random_unitary(rng, d: int) -> np.ndarray:
@@ -42,15 +42,15 @@ def random_density(rng, d: int) -> np.ndarray:
     return (u * w) @ u.conj().T
 
 
-def random_normal_matrix(rng, d: int, scale: float = 1.0) -> np.ndarray:
+def random_normal_matrix(rng, d: int) -> np.ndarray:
     """Random normal matrix: complex Gaussian diagonal conjugated by a unitary."""
-    ev = scale * (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / np.sqrt(2.0)
+    ev = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / np.sqrt(2.0)
     u = random_unitary(rng, d)
     return (u * ev) @ u.conj().T
 
 
-def random_hermitian(rng, d: int, scale: float = 1.0) -> np.ndarray:
-    g = complex_gaussian(rng, d, scale)
+def random_hermitian(rng, d: int) -> np.ndarray:
+    g = complex_gaussian(rng, d)
     return (g + g.conj().T) / 2.0
 
 

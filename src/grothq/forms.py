@@ -1,12 +1,13 @@
 """Classical and trace-form quadratic maximization over normalized matrices.
 
 The classical form of a d x d matrix theta is |sum_ij theta_ij s_i t_j| with
-the scalars constrained to the unit polydisc (or to the radius-sqrt(d) ball);
-its polydisc supremum g(theta) is bracketed by explicit witnesses from below
-and by min(||theta||_1, d * s_max) from above.  The ball supremum g'(theta)
-equals d * s_max exactly.  Replacing scalars by unit-ball vectors gives the
-trace form |Tr(theta V W^dagger)|, whose supremum can exceed g(theta) but
-never 1.4049 * g(theta).
+the scalars constrained to the unit polydisc; its supremum g(theta) is
+bracketed by explicit witnesses from below and by min(||theta||_1, d * s_max)
+from above.  With the scalars in the radius-sqrt(d) ball instead, the
+supremum g'(theta) equals d * s_max exactly, so the ball set is decided from
+s_max alone.  Replacing scalars by unit-ball vectors gives the trace form
+|Tr(theta V W^dagger)|, whose supremum can exceed g(theta) but never
+1.4049 * g(theta).
 """
 
 from dataclasses import asdict, dataclass, field
@@ -56,30 +57,18 @@ TUPLE_TOL = 1e-12                        # rounding slack of the tuple constrain
 
 @dataclass
 class PolydiscTuple:
-    """A d-tuple of complex scalars under a polydisc or ball constraint."""
+    """A d-tuple of complex scalars in the unit polydisc."""
     values: np.ndarray
-    constraint_kind: str = "unit_disc"   # "unit_disc" | "ball_d"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex).ravel()
-        if self.constraint_kind not in ("unit_disc", "ball_d"):
-            raise InputValidationError(
-                f"unknown constraint kind: {self.constraint_kind!r}")
         if not np.all(np.isfinite(self.values.real) & np.isfinite(self.values.imag)):
             raise InputValidationError("tuple contains non-finite values")
 
     def validate(self):
-        d = self.values.size
-        if self.constraint_kind == "unit_disc":
-            worst = float(np.abs(self.values).max()) if d else 0.0
-            if worst > 1.0 + TUPLE_TOL:
-                raise InputValidationError(
-                    f"unit-disc tuple has modulus {worst} > 1")
-        else:
-            total = float((np.abs(self.values) ** 2).sum())
-            if total > d * (1.0 + TUPLE_TOL):
-                raise InputValidationError(
-                    f"ball tuple has squared norm {total} > d = {d}")
+        worst = float(np.abs(self.values).max(initial=0.0))
+        if worst > 1.0 + TUPLE_TOL:
+            raise InputValidationError(f"unit-disc tuple has modulus {worst} > 1")
         return self
 
     def to_list(self):
@@ -101,16 +90,6 @@ class VectorTuple:
 
     def scaled(self) -> np.ndarray:
         return self.scales[:, None] * self.unit_vectors
-
-    @classmethod
-    def from_rows(cls, rows) -> "VectorTuple":
-        rows = np.asarray(rows, dtype=complex)
-        z = np.stack([rows.real, rows.imag])[..., None]   # the real form of _unit_vectors
-        units = np.zeros_like(z)
-        units[0, :, 0] = 1.0            # unit rows for zero vectors are irrelevant: e_0
-        scales = _unit_vectors(z, units)[:, 0]
-        return cls(unit_vectors=units[0, ..., 0] + 1j * units[1, ..., 0],
-                   scales=np.minimum(scales, 1.0))
 
 
 def eval_C(theta, s: PolydiscTuple, t: PolydiscTuple) -> float:
@@ -391,7 +370,9 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
     d = a.shape[0]
     n = cfg.starts + 1
     if not np.any(a):
-        zero = VectorTuple.from_rows(np.zeros((d, d)))
+        e0 = np.zeros((d, d), dtype=complex)
+        e0[:, 0] = 1.0                     # any unit rows do: their scales are 0
+        zero = VectorTuple(e0, np.zeros(d))
         return _zero_matrix_run(cfg, n, (zero, zero))
 
     s_w, t_w = g_lower(a, cfg).best_witness
@@ -412,8 +393,10 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
     xy, q, used, cut = _alternate(b_r, xy, q, cfg.max_iterations, 1e-3 * cfg.phase_tolerance)
 
     best = int(q.argmax())
+    # every row of the block is a unit vector: _unit_vectors keeps a row's
+    # previous unit value where its new direction is 0
     x, y = xy[:, 0, ..., best] + 1j * xy[:, 1, ..., best]
-    witness = (VectorTuple.from_rows(x).validate(), VectorTuple.from_rows(y).validate())
+    witness = (VectorTuple(x, np.ones(d)).validate(), VectorTuple(y, np.ones(d)).validate())
     return OptimizerRun(
         config=cfg,
         best_value=float(np.ldexp(q[best], k)),
@@ -553,7 +536,8 @@ def classify(theta, config: Optional[OptimizerConfig] = None) -> GClassification
     a = require_square(theta)
     d = a.shape[0]
     run = g_lower(a, config)
-    gp = g_prime(a)
+    s_max = largest_singular_value(a)
+    gp = d * s_max
     l1 = norm_entrywise_l1(a)
     upper = min(l1, gp)
     in_g_prime, in_g = unit_set_verdicts(run.best_value, upper, gp)
@@ -568,7 +552,8 @@ def classify(theta, config: Optional[OptimizerConfig] = None) -> GClassification
 
     scaling = {}
     if gp > 0:
-        scaling["lambda_max_in_G_prime"] = 1.0 / gp
+        # 1 / g' while g' = d s_max is a float; past that, divide by s_max and d in turn
+        scaling["lambda_max_in_G_prime"] = 1.0 / gp if gp < np.inf else 1.0 / s_max / d
     if run.best_value > 0:
         # scales above this are certified outside the polydisc set by the witness
         scaling["lambda_certified_outside_G_beyond"] = 1.0 / run.best_value

@@ -31,15 +31,7 @@ class InputValidationError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when a numerical solver fails to converge.
-
-    ``last_iterate`` keeps the solver's last iterate when it has one; the
-    LAPACK routines wrapped here have none and leave it None.
-    """
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """Raised when a LAPACK routine fails to converge."""
 
 
 def as_matrix(m) -> np.ndarray:
@@ -140,18 +132,21 @@ HERMITICITY_TOL = 1e-12
 def hermitian_eig(h) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, from LAPACK via numpy.
 
-    The input must be Hermitian entrywise to ``HERMITICITY_TOL``.  The
-    Hermitian part (B + B^dagger)/2 of the ``pow2_normalize``d B = H / 2^k is
-    decomposed and its eigenvalues scaled back, so tiny or huge H neither
-    underflow nor overflow and the eigenvalues scale exactly with H.
-    ``residual`` is ||H V - V diag(lambda)||_F against the input H.
+    The input must be Hermitian entrywise to ``HERMITICITY_TOL``, tested on
+    the ``pow2_normalize``d B = H / 2^k against HERMITICITY_TOL / 2^k, which
+    accepts the same matrices without overflowing.  The Hermitian part
+    (B + B^dagger)/2 is decomposed and its eigenvalues scaled back, so tiny or
+    huge H neither underflow nor overflow and the eigenvalues scale exactly
+    with H.  ``residual`` is ||H V - V diag(lambda)||_F against the input H.
     """
-    h = require_square(h)
-    dev = np.abs(h - h.conj().T).max()
-    if dev > HERMITICITY_TOL:
+    b, k = pow2_normalize(require_square(h))
+    dev = np.abs(b - b.conj().T).max()
+    # 2^-k capped at 2^1023: the bound then exceeds |B_ij - conj(B_ji)| <= 2 anyway
+    if dev > np.ldexp(HERMITICITY_TOL, min(-k, 1023)):
+        from decimal import Decimal   # imported here, off the start-up path of every command
         raise InputValidationError(
-            f"matrix is not Hermitian: max |H_ij - conj(H_ji)| = {dev:.3e}")
-    b, k = pow2_normalize(h)
+            "matrix is not Hermitian: max |H_ij - conj(H_ji)| = "
+            f"{Decimal(dev) * Decimal(2) ** k:.3e}")
     try:
         lam, v = np.linalg.eigh((b + b.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:

@@ -9,8 +9,9 @@ import grothq
 from grothq import (build_family, build_projector, cli, eigenvalue_multiplicities,
                     hermitian_eig, linalg, matrix_to_dict, fourier_matrix,
                     normalization_factor, save_matrix, states)
-from grothq.cli import dispatch, parse_matrix_file
+from grothq.cli import dispatch
 from grothq.linalg import InputValidationError
+from grothq.matrix_io import load_matrix
 
 
 def write_matrix(tmp_path, name, m):
@@ -30,33 +31,33 @@ def run_cli(capsys, argv):
 def test_parse_matrix_roundtrip(tmp_path):
     m = np.array([[1.0, 2.0j], [0.5 - 0.5j, -1.0]])
     path = write_matrix(tmp_path, "m.json", m)
-    assert np.array_equal(parse_matrix_file(path), m)
+    assert np.array_equal(load_matrix(path), m)
 
 
 def test_parse_matrix_missing_file():
     with pytest.raises(InputValidationError, match="not found"):
-        parse_matrix_file("/nonexistent/matrix.json")
+        load_matrix("/nonexistent/matrix.json")
 
 
 def test_parse_matrix_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(InputValidationError, match="malformed"):
-        parse_matrix_file(str(path))
+        load_matrix(str(path))
 
 
 def test_parse_matrix_dimension_mismatch(tmp_path):
     path = tmp_path / "dims.json"
     path.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [[1, 0]] * 3}))
     with pytest.raises(InputValidationError, match="rows\\*cols"):
-        parse_matrix_file(str(path))
+        load_matrix(str(path))
 
 
 def test_parse_matrix_nonfinite_entry(tmp_path):
     path = tmp_path / "nan.json"
     path.write_text('{"rows": 1, "cols": 1, "entries": [[NaN, 0]]}')
     with pytest.raises(InputValidationError, match="non-finite"):
-        parse_matrix_file(str(path))
+        load_matrix(str(path))
 
 
 @pytest.mark.parametrize("doc", [
@@ -67,14 +68,14 @@ def test_parse_matrix_rejects_booleans(tmp_path, doc):
     path = tmp_path / "bool.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(InputValidationError):
-        parse_matrix_file(str(path))
+        load_matrix(str(path))
 
 
 def test_parse_matrix_int_beyond_float_range(tmp_path):
     path = tmp_path / "big.json"
     path.write_text('{"rows": 1, "cols": 1, "entries": [[1%s, 0]]}' % ("0" * 400))
     with pytest.raises(InputValidationError, match="non-finite"):
-        parse_matrix_file(str(path))
+        load_matrix(str(path))
 
 
 def test_gbound_exit_2_on_boolean_matrix(tmp_path, capsys):

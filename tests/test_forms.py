@@ -73,14 +73,6 @@ def test_eval_c_rejects_constraint_violation():
         eval_C(theta, disc([1.5, 0.0]), disc([1.0, 0.0]))
 
 
-def test_eval_c_ball_constraint():
-    theta = np.eye(2) / 2
-    t = PolydiscTuple(np.array([np.sqrt(2), 0.0]), "ball_d")
-    assert eval_C(theta, t, t) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(InputValidationError):
-        PolydiscTuple(np.array([2.0, 1.0]), "ball_d").validate()
-
-
 # --- trace form ---
 
 def test_eval_q_projector_d3():
@@ -582,6 +574,20 @@ def test_classify_at_the_top_of_the_float_range():
     assert res.g_upper == res.l1_norm == 1.1e308
     assert res.g_lower == pytest.approx(1.1e308, rel=1e-15, abs=0)
     assert res.in_G == "certified_no"
+
+
+def test_classify_ball_scale_when_g_prime_overflows():
+    # g' = 2e308 is past the float range, its inverse 5e-309 is a float
+    res = classify(np.diag([1e308, 1e307]), SMALL)
+    assert res.g_prime == np.inf
+    assert res.scaling["lambda_max_in_G_prime"] == pytest.approx(5e-309, rel=1e-14, abs=0)
+
+
+def test_classify_ball_scale_is_the_inverse_of_a_finite_g_prime():
+    rng = np.random.default_rng(21)
+    for m in [complex_gaussian(rng, 4), np.diag([1e307, 1e306]), np.diag([1e-300, 0])]:
+        res = classify(m, SMALL)
+        assert res.scaling["lambda_max_in_G_prime"] == 1.0 / res.g_prime
 
 
 def test_max_q_lower_at_the_top_of_the_float_range():

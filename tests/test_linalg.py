@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,26 @@ def test_eig_lapack_failure_raises_convergence_error(monkeypatch):
 def test_eig_rejects_non_hermitian():
     with pytest.raises(InputValidationError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_eig_rejects_huge_non_hermitian_without_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputValidationError, match=r"= 2\.000e\+308"):
+            hermitian_eig(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+
+@pytest.mark.parametrize("j", [-600, 0, 600])
+def test_eig_hermiticity_tolerance_is_absolute_at_every_scale(j):
+    # the check runs on H / 2^k against HERMITICITY_TOL / 2^k: the same verdicts
+    for dev, ok in ((0.9e-12, True), (1.1e-12, False)):
+        h = np.diag([2.0 ** j, 2.0 ** j]).astype(complex)
+        h[0, 1] = dev
+        if ok:
+            hermitian_eig(h)
+        else:
+            with pytest.raises(InputValidationError, match="not Hermitian"):
+                hermitian_eig(h)
 
 
 # --- normality test ---
