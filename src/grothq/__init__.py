@@ -6,126 +6,20 @@ exactly, maximizes the vector (trace) form |Tr(theta V W^dagger)|, builds
 zero-diluted Fourier state families with their overlap projectors, and runs
 the experiments that probe the window (1, 1.4049] between the classical and
 vector ceilings.
+
+Each module's ``__all__`` declares its public names; the package exports them
+all, so a public name is declared in one place.
 """
 
-from .linalg import (
-    ConvergenceError,
-    EigenDecomposition,
-    InputValidationError,
-    eigenvalue_multiplicities,
-    fourier_matrix,
-    hermitian_eig,
-    is_normal,
-    largest_singular_value,
-    norm_entrywise_l1,
-    norm_frobenius,
-    permutation_matrix,
-)
-from .norms import NormReport, norm_report, normalization_factor, row_norms, to_unit_s
-from .forms import (
-    K_G_UPPER,
-    GClassification,
-    OptimizerConfig,
-    OptimizerRun,
-    PhaseSystemReport,
-    PolydiscTuple,
-    VectorTuple,
-    classify,
-    eval_C,
-    eval_Q_trace,
-    g_lower,
-    g_prime,
-    g_upper,
-    kg_region_check,
-    max_q_lower,
-    phase_system_solvable,
-)
-from .states import (
-    ExpansionCoefficients,
-    OverlapProjector,
-    StateFamily,
-    build_family,
-    build_projector,
-    expand_state,
-    isotropy_check,
-    overlap_power_sum,
-    permutation_invariance_check,
-    resolution_check,
-    torus_witness,
-)
-from .experiments import (
-    ConsistencyError,
-    ExperimentRecord,
-    G6Certificate,
-    RarityStats,
-    certify_g6,
-    displacement_operator,
-    run_bounded_demo,
-    run_h6,
-    run_h12,
-    run_rarity,
-)
-from .matrix_io import load_matrix, matrix_from_dict, matrix_to_dict, save_matrix
+from .linalg import *
+from .norms import *
+from .forms import *
+from .states import *
+from .experiments import *
+from .matrix_io import *
+from . import experiments, forms, linalg, matrix_io, norms, states
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceError",
-    "EigenDecomposition",
-    "InputValidationError",
-    "eigenvalue_multiplicities",
-    "fourier_matrix",
-    "hermitian_eig",
-    "is_normal",
-    "largest_singular_value",
-    "norm_entrywise_l1",
-    "norm_frobenius",
-    "permutation_matrix",
-    "NormReport",
-    "norm_report",
-    "normalization_factor",
-    "row_norms",
-    "to_unit_s",
-    "K_G_UPPER",
-    "GClassification",
-    "OptimizerConfig",
-    "OptimizerRun",
-    "PhaseSystemReport",
-    "PolydiscTuple",
-    "VectorTuple",
-    "classify",
-    "eval_C",
-    "eval_Q_trace",
-    "g_lower",
-    "g_prime",
-    "g_upper",
-    "kg_region_check",
-    "max_q_lower",
-    "phase_system_solvable",
-    "ExpansionCoefficients",
-    "OverlapProjector",
-    "StateFamily",
-    "build_family",
-    "build_projector",
-    "expand_state",
-    "isotropy_check",
-    "overlap_power_sum",
-    "permutation_invariance_check",
-    "resolution_check",
-    "torus_witness",
-    "ConsistencyError",
-    "ExperimentRecord",
-    "G6Certificate",
-    "RarityStats",
-    "certify_g6",
-    "displacement_operator",
-    "run_bounded_demo",
-    "run_h6",
-    "run_h12",
-    "run_rarity",
-    "load_matrix",
-    "matrix_from_dict",
-    "matrix_to_dict",
-    "save_matrix",
-    "__version__",
-]
+__all__ = [name for module in (linalg, norms, forms, states, experiments, matrix_io)
+           for name in module.__all__] + ["__version__"]

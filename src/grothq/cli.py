@@ -51,15 +51,15 @@ def load_config(path) -> CliConfig:
         raise InputValidationError(f"config file is not UTF-8 text: {path}: {exc}")
     if not isinstance(doc, dict):
         raise InputValidationError("config must be a JSON object")
-    settings = {key: doc[key] for key in ("seed", "starts") if key in doc}
-    for key, val in settings.items():
-        if not matrix_io.is_json_int(val):
-            raise InputValidationError(f"{key!r} must be an integer, got {val!r}")
     tol = doc.get("tolerances", {})
     if not isinstance(tol, dict) or not all(map(matrix_io.is_finite_number, tol.values())):
         raise InputValidationError("'tolerances' must be an object of finite numbers")
+    settings = {key: doc[key] for key in ("seed", "starts") if key in doc}
     if "max_iterations" in tol:
-        settings["max_iterations"] = int(tol["max_iterations"])
+        settings["max_iterations"] = tol["max_iterations"]
+    for key, val in settings.items():
+        if not matrix_io.is_json_int(val):
+            raise InputValidationError(f"{key!r} must be an integer, got {val!r}")
     if "phase_tolerance" in tol:
         settings["phase_tolerance"] = float(tol["phase_tolerance"])
     output_path = doc.get("output_path")

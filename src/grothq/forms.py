@@ -23,6 +23,7 @@ from .linalg import (
     norm_entrywise_l1,
     norm_frobenius,
     pow2_normalize,
+    pow2_scale,
     pow2_split,
     require_square,
 )
@@ -228,7 +229,7 @@ def _unit_scalars(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     w, e = pow2_split(z[nonzero], axis=())
     w_norms = np.sqrt((w.conj() * w).real)
     out[nonzero] = w / w_norms
-    norms[nonzero] = np.ldexp(w_norms, e)
+    norms[nonzero] = pow2_scale(w_norms, e)
     return norms
 
 
@@ -246,7 +247,7 @@ def _unit_vectors(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     w, e = pow2_split(z_t[nonzero], axis=(1, 2))
     w_norms = np.sqrt(np.einsum("vrc,vrc->v", w, w))
     out_t[nonzero] = w / w_norms[:, None, None]
-    norms[nonzero] = np.ldexp(w_norms, e[:, 0, 0])
+    norms[nonzero] = pow2_scale(w_norms, e[:, 0, 0])
     return norms
 
 
@@ -341,10 +342,10 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
     witness = (PolydiscTuple(s_best).validate(), PolydiscTuple(t_best).validate())
     return OptimizerRun(
         config=cfg,
-        best_value=float(np.ldexp(np.abs(r_best).sum(), k)),
+        best_value=float(pow2_scale(np.abs(r_best).sum(), k)),
         best_witness=witness,
         converged_fraction=1 - len(set((cut % n).tolist())) / n,
-        per_start_values=np.ldexp(q.reshape(4, n).max(axis=0), k).tolist(),
+        per_start_values=pow2_scale(q.reshape(4, n).max(axis=0), k).tolist(),
         iterations_used=used.reshape(4, n).max(axis=0).tolist(),
         stop_reason="budget" if cut.size else "tolerance",
     )
@@ -399,10 +400,10 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
     witness = (VectorTuple(x, np.ones(d)).validate(), VectorTuple(y, np.ones(d)).validate())
     return OptimizerRun(
         config=cfg,
-        best_value=float(np.ldexp(q[best], k)),
+        best_value=float(pow2_scale(q[best], k)),
         best_witness=witness,
         converged_fraction=(n - cut.size) / n,
-        per_start_values=np.ldexp(q, k).tolist(),
+        per_start_values=pow2_scale(q, k).tolist(),
         iterations_used=used.tolist(),
         stop_reason="budget" if cut.size else "tolerance",
     )
@@ -535,12 +536,15 @@ def classify(theta, config: Optional[OptimizerConfig] = None) -> GClassification
     """
     a = require_square(theta)
     d = a.shape[0]
-    run = g_lower(a, config)
-    s_max = largest_singular_value(a)
+    # bound b = theta / 2^k, whose bounds are floats: theta's bounds are 2^k
+    # times those (inf past the float range), its scales 2^-k times b's
+    b, k = pow2_normalize(a)
+    run = g_lower(b, config)
+    lower_b, l1_b, s_max_b = run.best_value, norm_entrywise_l1(b), largest_singular_value(b)
+    lower, l1, s_max = pow2_scale([lower_b, l1_b, s_max_b], k).tolist()
     gp = d * s_max
-    l1 = norm_entrywise_l1(a)
     upper = min(l1, gp)
-    in_g_prime, in_g = unit_set_verdicts(run.best_value, upper, gp)
+    in_g_prime, in_g = unit_set_verdicts(lower, upper, gp)
 
     bound = 1.0 + G_PRIME_TOL          # each check follows from d s_max <= bound
     necessary = {
@@ -551,22 +555,22 @@ def classify(theta, config: Optional[OptimizerConfig] = None) -> GClassification
     gro10 = bool(in_g != "certified_no" and l1 > 1.0)
 
     scaling = {}
-    if gp > 0:
-        # 1 / g' while g' = d s_max is a float; past that, divide by s_max and d in turn
-        scaling["lambda_max_in_G_prime"] = 1.0 / gp if gp < np.inf else 1.0 / s_max / d
-    if run.best_value > 0:
+    if s_max_b > 0:
+        scaling["lambda_max_in_G_prime"] = 1.0 / (d * s_max_b)
+    if lower_b > 0:
         # scales above this are certified outside the polydisc set by the witness
-        scaling["lambda_certified_outside_G_beyond"] = 1.0 / run.best_value
-    if upper > 0:
-        scaling["lambda_max_certified_in_G"] = 1.0 / upper
+        scaling["lambda_certified_outside_G_beyond"] = 1.0 / lower_b
+    if s_max_b > 0:
+        scaling["lambda_max_certified_in_G"] = 1.0 / min(l1_b, d * s_max_b)
+    scaling = dict(zip(scaling, pow2_scale(list(scaling.values()), -k).tolist()))
 
     return GClassification(
-        g_lower=float(run.best_value),
-        g_upper=float(upper),
-        g_prime=float(gp),
+        g_lower=lower,
+        g_upper=upper,
+        g_prime=gp,
         in_G_prime=in_g_prime,
         in_G=in_g,
-        l1_norm=float(l1),
+        l1_norm=l1,
         necessary_condition_GRO10=gro10,
         necessary_for_G_prime=necessary,
         witnesses=run.best_witness,

@@ -61,7 +61,7 @@ def norm_entrywise_l1(m) -> float:
     bit-identical to summing the moduli directly.
     """
     b, k = pow2_normalize(as_matrix(m))
-    return float(np.ldexp(np.abs(b).sum(), k))
+    return float(pow2_scale(np.abs(b).sum(), k))
 
 
 def norm_frobenius(m) -> float:
@@ -72,7 +72,7 @@ def norm_frobenius(m) -> float:
     exactly with the matrix.
     """
     b, k = pow2_normalize(as_matrix(m))
-    return float(np.ldexp(np.linalg.norm(b), k))
+    return float(pow2_scale(np.linalg.norm(b), k))
 
 
 def pow2_split(a: np.ndarray, axis=None):
@@ -84,15 +84,21 @@ def pow2_split(a: np.ndarray, axis=None):
     Scaling by a power of two is exact (scaling down rounds only the parts
     more than 2^1021 times below their slice's largest modulus), so a
     computation can run on the scaled slices, free of underflow and
-    overflow, and scale its result back with ``np.ldexp(x, e)``, exact up to
-    the top of the float range.  This is the one place in grothq that picks
-    such a scale.
+    overflow, and scale its result back with ``pow2_scale(x, e)``.  This is
+    the one place in grothq that picks such a scale.
     """
     _, e = np.frexp(np.abs(a).max(axis=axis, keepdims=True))
     if np.iscomplexobj(a):
         # ldexp on the real parts: complex division by a subnormal 2^e overflows
         return np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e), e
     return np.ldexp(a, -e), e
+
+
+def pow2_scale(x, e):
+    """x * 2^e, exact up to the top of the float range and inf past it, with
+    no overflow warning: the scale-back of every ``pow2_split`` result."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, e)
 
 
 def pow2_normalize(a: np.ndarray):
@@ -115,7 +121,7 @@ def largest_singular_value(m) -> float:
         s = np.linalg.svd(b, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
-    return float(np.ldexp(s[0], k))
+    return float(pow2_scale(s[0], k))
 
 
 @dataclass
@@ -152,8 +158,8 @@ def hermitian_eig(h) -> EigenDecomposition:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Hermitian eigensolver did not converge: {exc}") from exc
     lam, v = lam[::-1], v[:, ::-1]
-    residual = float(np.ldexp(np.linalg.norm(b @ v - v * lam), k))
-    return EigenDecomposition(np.ldexp(lam, k), v, residual)
+    residual = float(pow2_scale(np.linalg.norm(b @ v - v * lam), k))
+    return EigenDecomposition(pow2_scale(lam, k), v, residual)
 
 
 NORMAL_TOL = 1e-12

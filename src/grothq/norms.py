@@ -17,6 +17,7 @@ from .linalg import (
     largest_singular_value,
     norm_frobenius,
     pow2_normalize,
+    pow2_scale,
     pow2_split,
     require_square,
 )
@@ -38,7 +39,7 @@ def row_norms(m) -> np.ndarray:
     its precision, and the norms scale exactly with the matrix.
     """
     b, e = pow2_split(as_matrix(m), axis=1)
-    return np.ldexp(np.linalg.norm(b, axis=1), e[:, 0])
+    return pow2_scale(np.linalg.norm(b, axis=1), e[:, 0])
 
 
 def normalization_factor(m) -> float:

@@ -137,6 +137,16 @@ def test_gbound_subcommand(tmp_path, capsys):
     assert doc["g_upper"] == pytest.approx(4.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("command", ["norms", "gbound", "classify"])
+def test_bounds_past_the_float_range_print_no_warning(tmp_path, capsys, command):
+    # s_max = 2e308 and ||theta||_1 = 4e308 are inf in the JSON, not warnings
+    path = write_matrix(tmp_path, "m.json", np.full((2, 2), 1e308))
+    assert dispatch([command, "--matrix", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "Infinity" in captured.out
+
+
 def test_phases_subcommand(tmp_path, capsys):
     theta = np.array([[1.0, 1.0j], [-1.0j, -1.0]])
     path = write_matrix(tmp_path, "h.json", theta)
@@ -396,10 +406,12 @@ def test_cli_seed_and_starts_override_config(tmp_path, capsys):
     ({"tolerances": {"max_iterations": True}}, ["classify"]),
     ({"tolerances": {"phase_tolerance": float("nan")}}, ["classify"]),
     ({"tolerances": {"max_iterations": 0}}, ["classify"]),
+    ({"tolerances": {"max_iterations": 2.7}}, ["classify"]),
     ({"output_path": 5}, ["experiment", "rarity", "--ensemble", "random_normal",
                           "--samples", "1"]),
 ], ids=["seed_string", "seed_float", "starts_float", "tolerances_list",
-        "tolerance_boolean", "tolerance_nan", "max_iterations_zero", "output_path_int"])
+        "tolerance_boolean", "tolerance_nan", "max_iterations_zero", "max_iterations_float",
+        "output_path_int"])
 def test_config_rejects_malformed_values(tmp_path, capsys, doc, argv):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))

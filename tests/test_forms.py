@@ -583,6 +583,27 @@ def test_classify_ball_scale_when_g_prime_overflows():
     assert res.scaling["lambda_max_in_G_prime"] == pytest.approx(5e-309, rel=1e-14, abs=0)
 
 
+def test_bounds_past_the_float_range_are_inf_without_warning():
+    # g = ||theta||_1 = 4e308 and g' = 4e308 are past the float range;
+    # RuntimeWarnings are errors in this suite
+    m = np.full((2, 2), 1e308)
+    assert g_prime(m) == g_upper(m) == np.inf
+    for run in (g_lower(m, SMALL), max_q_lower(m, SMALL)):
+        assert run.best_value == np.inf
+        assert max(run.per_start_values) == np.inf
+
+
+def test_classify_scales_when_every_bound_is_past_the_float_range():
+    # each scale is 1/4e308 = 2.5e-309, a float, although no bound is
+    res = classify(np.full((2, 2), 1e308), SMALL)
+    assert res.g_lower == res.g_upper == res.g_prime == np.inf
+    assert res.in_G == "certified_no"
+    assert set(res.scaling) == {"lambda_max_in_G_prime", "lambda_certified_outside_G_beyond",
+                                "lambda_max_certified_in_G"}
+    for scale in res.scaling.values():
+        assert scale == pytest.approx(2.5e-309, rel=1e-14, abs=0)
+
+
 def test_classify_ball_scale_is_the_inverse_of_a_finite_g_prime():
     rng = np.random.default_rng(21)
     for m in [complex_gaussian(rng, 4), np.diag([1e307, 1e306]), np.diag([1e-300, 0])]:

@@ -124,6 +124,16 @@ def test_norms_of_a_matrix_at_the_top_of_the_float_range():
     assert norm_entrywise_l1(m) == 1e308
 
 
+def test_norms_past_the_float_range_are_inf_without_warning():
+    # every entry is a float, but s_max = 2e308, ||M||_F = 2e308 and
+    # ||M||_1 = 4e308 are not; RuntimeWarnings are errors in this suite
+    m = np.full((2, 2), 1e308)
+    assert largest_singular_value(m) == np.inf
+    assert norm_frobenius(m) == np.inf
+    assert norm_entrywise_l1(m) == np.inf
+    assert hermitian_eig(m).eigenvalues[0] == np.inf
+
+
 def test_eig_at_the_top_of_the_float_range():
     # (H + H^dagger) / 2 of the unscaled matrix overflows
     dec = hermitian_eig(np.diag([1e308, 1e307]))

@@ -134,6 +134,15 @@ def test_to_unit_s_and_report_of_tiny_and_huge_matrices():
 
 # --- norm report ---
 
+def test_report_past_the_float_range_is_inf_without_warning():
+    # the rows are floats, ||M||_F = s_max = 2e308 are not; RuntimeWarnings
+    # are errors in this suite
+    rep = norm_report(np.full((2, 2), 1e308))
+    assert rep.n_factor == pytest.approx(np.sqrt(2) * 1e308, rel=1e-15)
+    assert rep.frobenius == rep.lower_bound == rep.upper_bound == np.inf
+    assert rep.all_rows_equal and not rep.in_S_d
+
+
 def test_report_diagonal_density_upper_tight():
     p = np.array([0.5, 0.3, 0.2])
     rep = norm_report(np.diag(p))
