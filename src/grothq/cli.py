@@ -147,35 +147,40 @@ def cmd_projector(args, cli_cfg):
     })
 
 
-def cmd_experiment(args, cli_cfg):
-    kind = args.kind
-    cfg = cli_cfg.optimizer
-    if kind == "h6":
-        _emit(experiments.run_h6(args.lam).to_dict())
-    elif kind == "h12":
-        _emit(experiments.run_h12(args.lam).to_dict())
-    elif kind == "g6":
-        _emit(experiments.certify_g6(starts=cfg.starts, seed=cfg.seed).to_dict())
-    elif kind == "bounded":
-        _emit(experiments.run_bounded_demo(args.dim, args.samples, cfg.seed).to_dict())
-    elif kind == "rarity":
-        out_path = args.out or cli_cfg.output_path
-        # records go to the --out file when given, else to stdout before the summary;
-        # the file opens at the first record, so rejected arguments leave no file
-        fh = None
-        with ExitStack() as stack:
-            def sink(record):
-                nonlocal fh
-                if fh is None:
-                    fh = (stack.enter_context(open(out_path, "a", encoding="utf-8"))
-                          if out_path else sys.stdout)
-                fh.write(json.dumps(record) + "\n")
+def cmd_h6(args, cli_cfg):
+    _emit(experiments.run_h6(args.lam).to_dict())
 
-            stats = experiments.run_rarity(
-                args.ensemble, args.samples, cfg.seed, cfg.starts, dim=args.dim, sink=sink)
-        _emit(stats.to_dict())
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputValidationError(f"unknown experiment {kind!r}")
+
+def cmd_h12(args, cli_cfg):
+    _emit(experiments.run_h12(args.lam).to_dict())
+
+
+def cmd_g6(args, cli_cfg):
+    cfg = cli_cfg.optimizer
+    _emit(experiments.certify_g6(starts=cfg.starts, seed=cfg.seed).to_dict())
+
+
+def cmd_bounded(args, cli_cfg):
+    _emit(experiments.run_bounded_demo(args.dim, args.samples, cli_cfg.optimizer.seed).to_dict())
+
+
+def cmd_rarity(args, cli_cfg):
+    cfg = cli_cfg.optimizer
+    out_path = args.out or cli_cfg.output_path
+    # records go to the --out file when given, else to stdout before the summary;
+    # the file opens at the first record, so rejected arguments leave no file
+    fh = None
+    with ExitStack() as stack:
+        def sink(record):
+            nonlocal fh
+            if fh is None:
+                fh = (stack.enter_context(open(out_path, "a", encoding="utf-8"))
+                      if out_path else sys.stdout)
+            fh.write(json.dumps(record) + "\n")
+
+        stats = experiments.run_rarity(
+            args.ensemble, args.samples, cfg.seed, cfg.starts, dim=args.dim, sink=sink)
+    _emit(stats.to_dict())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,15 +225,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = ex.add_parser("h6", help="6-dim projector trace value q = 6 lambda")
     q.add_argument("--lambda", dest="lam", type=float, required=True)
+    q.set_defaults(func=cmd_h6)
     q = ex.add_parser("h12", help="12-dim projector trace value q = 12 lambda")
     q.add_argument("--lambda", dest="lam", type=float, required=True)
+    q.set_defaults(func=cmd_h12)
     q = ex.add_parser("g6", help="two-route certification of the 6-dim supremum")
     q.add_argument("--starts", type=int, default=None)
     q.add_argument("--seed", type=int, default=None)
+    q.set_defaults(func=cmd_g6)
     q = ex.add_parser("bounded", help="density/unitary trace values stay within 1")
     q.add_argument("--dim", type=int, required=True)
     q.add_argument("--samples", type=int, required=True)
     q.add_argument("--seed", type=int, default=None)
+    q.set_defaults(func=cmd_bounded)
     q = ex.add_parser("rarity", help="random-sampling study of values above 1")
     q.add_argument("--ensemble", required=True,
                    choices=list(experiments.RARITY_ENSEMBLES))
@@ -237,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--starts", type=int, default=None)
     q.add_argument("--dim", type=int, default=6)
     q.add_argument("--out", default=None, help="JSONL file to append records to")
-    p.set_defaults(func=cmd_experiment)
+    q.set_defaults(func=cmd_rarity)
 
     return parser
 
@@ -255,7 +264,7 @@ def dispatch(argv) -> int:
                      if getattr(args, key, None) is not None}
         cli_cfg.optimizer = replace(cli_cfg.optimizer, **overrides)
         args.func(args, cli_cfg)
-    except InputValidationError as exc:
+    except (InputValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConvergenceError as exc:
@@ -264,9 +273,6 @@ def dispatch(argv) -> int:
     except experiments.ConsistencyError as exc:
         print(f"consistency error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     return EXIT_OK
 
 

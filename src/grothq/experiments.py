@@ -8,7 +8,7 @@ sampling study of how rare trace-form values above 1 are.
 """
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -58,7 +58,7 @@ class ExperimentRecord:
     parameters: dict
     q_value: float
     region: str
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -10,7 +10,7 @@ s_max alone.  Replacing scalars by unit-ball vectors gives the trace form
 1.4049 * g(theta).
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from typing import Optional
 
@@ -27,6 +27,7 @@ from .linalg import (
     pow2_split,
     require_square,
 )
+from .matrix_io import complex_pairs
 
 __all__ = [
     "K_G_UPPER",
@@ -73,7 +74,7 @@ class PolydiscTuple:
         return self
 
     def to_list(self):
-        return [[float(z.real), float(z.imag)] for z in self.values]
+        return complex_pairs(self.values)
 
 
 @dataclass
@@ -91,6 +92,12 @@ class VectorTuple:
 
     def scaled(self) -> np.ndarray:
         return self.scales[:, None] * self.unit_vectors
+
+    def to_list(self):
+        """JSON form, named as ``PolydiscTuple.to_list`` so that a witness
+        pair of either kind serializes the same way."""
+        return {"scales": [float(x) for x in self.scales],
+                "unit_vectors": complex_pairs(self.unit_vectors)}
 
 
 def eval_C(theta, s: PolydiscTuple, t: PolydiscTuple) -> float:
@@ -170,40 +177,26 @@ class OptimizerRun:
     best_value: float
     best_witness: tuple
     converged_fraction: float
-    per_start_values: list = field(default_factory=list)
-    iterations_used: list = field(default_factory=list)
-    stop_reason: str = "tolerance"
+    per_start_values: list
+    iterations_used: list
+    stop_reason: str
 
     def to_dict(self) -> dict:
         s, t = self.best_witness
-        witness = {}
-        for name, part in (("s", s), ("t", t)):
-            if isinstance(part, PolydiscTuple):
-                witness[name] = part.to_list()
-            elif isinstance(part, VectorTuple):
-                witness[name] = {
-                    "scales": [float(x) for x in part.scales],
-                    "unit_vectors": [[[float(z.real), float(z.imag)] for z in row]
-                                     for row in part.unit_vectors],
-                }
         return {
             **asdict(self.config),
             "best_value": self.best_value,
             "converged_fraction": self.converged_fraction,
             "iterations_used": self.iterations_used,
             "stop_reason": self.stop_reason,
-            "witness": witness,
+            "witness": {"s": s.to_list(), "t": t.to_list()},
         }
-
-
-def _initial_phases(config: OptimizerConfig, d: int) -> np.ndarray:
-    """The seeded start phases of ``config`` in dimension d: a shared,
-    read-only (starts, d) array, drawn once per (seed, starts, d)."""
-    return _seeded_phases(config.seed, config.starts, d)
 
 
 @lru_cache(maxsize=_PHASE_CACHE_SIZE)
 def _seeded_phases(seed: int, starts: int, d: int) -> np.ndarray:
+    """The seeded start phases in dimension d: a shared, read-only (starts, d)
+    array, drawn once per (seed, starts, d)."""
     # one generator per start, so start s is the same whatever the number of starts
     angles = [np.random.default_rng(seed ^ s).uniform(-np.pi, np.pi, d)
               for s in range(starts)]
@@ -318,7 +311,7 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
         return _zero_matrix_run(cfg, n, (ones, ones))
 
     b, k = pow2_normalize(a)
-    seeded = _initial_phases(cfg, d).T
+    seeded = _seeded_phases(cfg.seed, cfg.starts, d).T
     phases = np.hstack([seeded, seeded.conj()])     # (d, 2n)
     # rows 0..2n-1 take the phases as t, rows 2n..4n-1 as s; y keeps its
     # start where a column of theta is zero
@@ -487,25 +480,14 @@ class GClassification:
     l1_norm: float
     necessary_condition_GRO10: bool
     necessary_for_G_prime: dict
-    witnesses: Optional[tuple] = None
-    scaling: dict = field(default_factory=dict)
+    witnesses: tuple                 # (s, t): the PolydiscTuple witness of g_lower
+    scaling: dict
 
     def to_dict(self) -> dict:
-        out = {
-            "g_lower": self.g_lower,
-            "g_upper": self.g_upper,
-            "g_prime": self.g_prime,
-            "in_G_prime": self.in_G_prime,
-            "in_G": self.in_G,
-            "l1_norm": self.l1_norm,
-            "necessary_condition_GRO10": self.necessary_condition_GRO10,
-            "necessary_for_G_prime": self.necessary_for_G_prime,
-            "scaling": self.scaling,
-        }
-        if self.witnesses is not None:
-            s, t = self.witnesses
-            out["witness"] = {"s": s.to_list(), "t": t.to_list()}
-        return out
+        """Every field in declaration order, with the witness pair last as "witness"."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "witnesses"}
+        s, t = self.witnesses
+        return {**out, "witness": {"s": s.to_list(), "t": t.to_list()}}
 
 
 G_PRIME_TOL = 1e-10
@@ -540,10 +522,16 @@ def classify(theta, config: Optional[OptimizerConfig] = None) -> GClassification
     # times those (inf past the float range), its scales 2^-k times b's
     b, k = pow2_normalize(a)
     run = g_lower(b, config)
-    lower_b, l1_b, s_max_b = run.best_value, norm_entrywise_l1(b), largest_singular_value(b)
+    l1_b, s_max_b = norm_entrywise_l1(b), largest_singular_value(b)
+    # the witness value is summed in round-to-nearest and can pass the
+    # certified bound by an ulp: cap it on b, where the scaling entries are
+    # formed, and again after scaling back, where d * s_max rounds anew when
+    # it is subnormal, so that lower <= upper holds exactly
+    lower_b = min(run.best_value, l1_b, d * s_max_b)
     lower, l1, s_max = pow2_scale([lower_b, l1_b, s_max_b], k).tolist()
     gp = d * s_max
     upper = min(l1, gp)
+    lower = min(lower, upper)
     in_g_prime, in_g = unit_set_verdicts(lower, upper, gp)
 
     bound = 1.0 + G_PRIME_TOL          # each check follows from d s_max <= bound

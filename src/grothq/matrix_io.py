@@ -1,6 +1,7 @@
-"""JSON serialization for complex matrices.
+"""The JSON wire format: complex numbers and complex matrices.
 
-Wire schema (used by every CLI subcommand):
+A complex number is the pair [re, im] (``complex_pairs``).  Matrix schema
+(used by every CLI subcommand):
 
     {"rows": n, "cols": n, "entries": [[re, im], ...]}   # row-major
 """
@@ -30,10 +31,16 @@ def is_finite_number(x) -> bool:
     return is_json_number(x) and abs(x) <= sys.float_info.max
 
 
+def complex_pairs(z):
+    """Nested lists of the complex array z, each entry as its [re, im] pair."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z.real, z.imag], -1).tolist()
+
+
 def matrix_to_dict(m) -> dict:
     a = as_matrix(m)
-    entries = [[float(z.real), float(z.imag)] for z in a.ravel()]
-    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": entries}
+    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]),
+            "entries": complex_pairs(a.ravel())}
 
 
 def matrix_from_dict(doc) -> np.ndarray:

@@ -20,6 +20,7 @@ from .linalg import (
     eigenvalue_multiplicities,
     hermitian_eig,
 )
+from .matrix_io import complex_pairs
 
 __all__ = [
     "StateFamily",
@@ -157,7 +158,7 @@ class ExpansionCoefficients:
     coefficients: np.ndarray
 
     def to_list(self):
-        return [[float(z.real), float(z.imag)] for z in self.coefficients]
+        return complex_pairs(self.coefficients)
 
 
 def expand_state(family: StateFamily, f) -> ExpansionCoefficients:
@@ -170,7 +171,7 @@ def expand_state(family: StateFamily, f) -> ExpansionCoefficients:
     if v.size != family.dim:
         raise InputValidationError(
             f"vector length {v.size} does not match dimension {family.dim}")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+    if not np.isfinite(v).all() or abs(np.linalg.norm(v) - 1.0) > 1e-10:
         raise InputValidationError("expand_state expects a unit vector")
     coeffs = (family.states.conj() @ v) / (family.dim - 1)
     return ExpansionCoefficients(dim=family.dim, coefficients=coeffs)

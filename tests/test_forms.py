@@ -28,7 +28,12 @@ from grothq import (
     torus_witness,
 )
 from grothq import forms
-from grothq.ensembles import complex_gaussian, random_normal_matrix, random_unitary
+from grothq.ensembles import (
+    complex_gaussian,
+    random_normal_matrix,
+    random_projector,
+    random_unitary,
+)
 
 
 def pi(d):
@@ -214,18 +219,17 @@ def _fresh_phases(seed, starts, d):
 
 def test_seeded_phases_equal_fresh_per_start_draws():
     for seed, starts, d in ((0, 1, 2), (123, 16, 6), (2**40 + 5, 7, 3)):
-        cfg = OptimizerConfig(starts=starts, seed=seed)
         fresh = _fresh_phases(seed, starts, d)
-        phases = forms._initial_phases(cfg, d)
+        phases = forms._seeded_phases(seed, starts, d)
         assert phases.shape == (starts, d)
         assert phases.tobytes() == fresh.tobytes()
-        assert forms._initial_phases(cfg, d) is phases
+        assert forms._seeded_phases(seed, starts, d) is phases
         forms._seeded_phases.cache_clear()
-        assert forms._initial_phases(cfg, d).tobytes() == fresh.tobytes()
+        assert forms._seeded_phases(seed, starts, d).tobytes() == fresh.tobytes()
 
 
 def test_seeded_phases_are_read_only():
-    phases = forms._initial_phases(OptimizerConfig(starts=3, seed=9), 4)
+    phases = forms._seeded_phases(9, 3, 4)
     with pytest.raises(ValueError):
         phases[0, 0] = 1.0
     with pytest.raises(ValueError):
@@ -557,13 +561,27 @@ def test_classify_necessary_flags_hold_on_the_ball_set_boundary():
     assert all(res.necessary_for_G_prime.values())
 
 
+def _structured_matrices(rng):
+    # witness values on these are often one ulp above the upper bound
+    yield np.eye(1)
+    yield np.ones((2, 2))
+    # a subnormal rank-one projector: d * s_max rounds again when scaled back
+    yield np.array([[1018, 473 + 894j], [473 - 894j, 1006]]) * 2.0 ** -1074
+    for d in range(1, 7):
+        for _ in range(4):
+            yield random_projector(rng, d, int(rng.integers(1, d + 1)))
+            yield np.outer(rng.standard_normal(d), rng.standard_normal(d))
+            yield np.diag(rng.standard_normal(d))
+
+
 def test_classify_bracket_orders():
     rng = np.random.default_rng(18)
-    for _ in range(20):
-        d = int(rng.integers(2, 6))
-        res = classify(complex_gaussian(rng, d), SMALL)
-        assert res.g_lower <= res.g_upper + 1e-8
-        assert res.g_lower <= res.g_prime + 1e-8
+    cfg = OptimizerConfig(starts=16)
+    gaussians = [complex_gaussian(rng, int(rng.integers(2, 6))) for _ in range(20)]
+    for theta in [*gaussians, *_structured_matrices(rng)]:
+        res = classify(theta, cfg)
+        assert res.g_lower <= res.g_upper
+        assert res.g_lower <= res.g_prime
         assert res.g_upper <= res.l1_norm + 1e-12
 
 

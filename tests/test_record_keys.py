@@ -1,13 +1,30 @@
 """The keys of every record's to_dict(), in order: stdout's JSON layout."""
 
+import json
+
 import numpy as np
 import pytest
 
-from grothq import OptimizerConfig, certify_g6, g_lower, max_q_lower, norm_report, run_h6
+from grothq import (
+    OptimizerConfig,
+    certify_g6,
+    classify,
+    g_lower,
+    max_q_lower,
+    norm_report,
+    phase_system_solvable,
+    run_h6,
+)
 from grothq.experiments import run_rarity
 
 RUN_KEYS = ["starts", "seed", "max_iterations", "phase_tolerance", "best_value",
             "converged_fraction", "iterations_used", "stop_reason", "witness"]
+THETA = np.array([[1, 2j], [0.5, -1]])
+CFG = OptimizerConfig(starts=3, seed=5, max_iterations=7, phase_tolerance=1e-9)
+
+
+def _pairs(z):
+    return [[float(c.real), float(c.imag)] for c in np.ravel(z)]
 
 
 def test_experiment_record_keys():
@@ -53,3 +70,31 @@ def test_optimizer_run_keys(optimizer, theta):
     assert list(doc) == RUN_KEYS
     assert list(doc["witness"]) == ["s", "t"]
     assert [doc[k] for k in RUN_KEYS[:4]] == [3, 5, 7, 1e-9]
+
+
+def test_classify_keys_and_witness_pairs():
+    res = classify(THETA, CFG)
+    doc = res.to_dict()
+    assert list(doc) == [
+        "g_lower", "g_upper", "g_prime", "in_G_prime", "in_G", "l1_norm",
+        "necessary_condition_GRO10", "necessary_for_G_prime", "scaling", "witness"]
+    s, t = res.witnesses
+    assert doc["witness"] == {"s": _pairs(s.values), "t": _pairs(t.values)}
+    assert json.loads(json.dumps(doc["witness"])) == doc["witness"]
+
+
+def test_vector_witness_layout():
+    run = max_q_lower(THETA, CFG)
+    witness = run.to_dict()["witness"]
+    for name, part in zip("st", run.best_witness):
+        assert list(witness[name]) == ["scales", "unit_vectors"]
+        assert witness[name]["scales"] == [float(x) for x in part.scales]
+        assert witness[name]["unit_vectors"] == [_pairs(row) for row in part.unit_vectors]
+
+
+@pytest.mark.parametrize("theta", [np.array([[1, 1j], [1j, -1]]), np.array([[1, 1], [1, -1]])],
+                         ids=["solvable", "unsolvable"])
+def test_phase_system_report_keys(theta):
+    assert list(phase_system_solvable(theta).to_dict()) == [
+        "solvable", "n_equations", "rank_coefficient", "rank_augmented", "chi", "psi",
+        "used_shift_enumeration"]

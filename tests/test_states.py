@@ -183,8 +183,10 @@ def test_expand_family_member_reconstructs():
 
 
 def test_expand_rejects_non_unit():
-    with pytest.raises(InputValidationError):
-        expand_state(build_family(3), [1.0, 1.0, 0.0])
+    for f in ([1.0, 1.0, 0.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0],
+              [1.0, 0.0, complex(0.0, np.nan)]):
+        with pytest.raises(InputValidationError):
+            expand_state(build_family(3), f)
 
 
 def test_reproducing_property():
