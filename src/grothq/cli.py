@@ -79,15 +79,13 @@ def cmd_norms(args, cli_cfg):
 
 def cmd_gbound(args, cli_cfg):
     a = require_square(matrix_io.load_matrix(args.matrix))
-    smax = largest_singular_value(a)
-    d = a.shape[0]
-    l1 = norm_entrywise_l1(a)
+    l1, gp = norm_entrywise_l1(a), forms.g_prime(a)
     _emit({
-        "dim": d,
+        "dim": a.shape[0],
         "l1_norm": l1,
-        "s_max": smax,
-        "g_prime": d * smax,
-        "g_upper": min(l1, d * smax),
+        "s_max": largest_singular_value(a),
+        "g_prime": gp,
+        "g_upper": min(l1, gp),
     })
 
 

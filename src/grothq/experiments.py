@@ -203,7 +203,7 @@ def _h6_phase_ascent(t: np.ndarray, max_rounds: int = 2000):
 G6_AGREEMENT_TOL = 1e-6
 
 
-def certify_g6(starts: int = 64, seed: int = 0) -> G6Certificate:
+def certify_g6(starts: int, seed: int) -> G6Certificate:
     """Cross-check the classical supremum of Pi_6 along two routes.
 
     Route 1 maximizes F(t) = sum_i |(Pi t)_i| on the torus (the general

@@ -21,13 +21,13 @@ from .linalg import (
     as_matrix,
     largest_singular_value,
     norm_entrywise_l1,
-    norm_frobenius,
     pow2_normalize,
     pow2_scale,
     pow2_split,
     require_square,
 )
 from .matrix_io import complex_pairs
+from .norms import row_norms
 
 __all__ = [
     "K_G_UPPER",
@@ -113,20 +113,25 @@ def eval_C(theta, s: PolydiscTuple, t: PolydiscTuple) -> float:
 
 
 def eval_Q_trace(theta, v, w) -> float:
-    """Trace form |Tr(theta V W^dagger)| for three d x d matrices."""
+    """Trace form |Tr(theta V W^dagger)| for three d x d matrices, the rows
+    of V and W in the unit ball (to ``TUPLE_TOL``, as ``VectorTuple``)."""
     a = require_square(theta)
     vm = require_square(v)
     wm = require_square(w)
     if not (a.shape == vm.shape == wm.shape):
         raise InputValidationError(
             f"dimension mismatch: {a.shape}, {vm.shape}, {wm.shape}")
+    worst = max(row_norms(vm).max(), row_norms(wm).max())
+    if worst > 1.0 + TUPLE_TOL:
+        raise InputValidationError(f"a row of V or W leaves the unit ball: max norm {worst}")
     return float(abs(np.trace(a @ vm @ wm.conj().T)))
 
 
 def g_prime(theta) -> float:
-    """Exact ball supremum: d times the largest singular value."""
-    a = require_square(theta)
-    return a.shape[0] * largest_singular_value(a)
+    """Exact ball supremum: d times the largest singular value, formed on
+    theta / 2^k and scaled back, so it rounds once."""
+    b, k = pow2_normalize(require_square(theta))
+    return float(pow2_scale(b.shape[0] * largest_singular_value(b), k))
 
 
 def g_upper(theta) -> float:
@@ -207,6 +212,22 @@ def _seeded_phases(seed: int, starts: int, d: int) -> np.ndarray:
 
 def _zero_matrix_run(cfg: OptimizerConfig, n: int, witness: tuple) -> OptimizerRun:
     return OptimizerRun(cfg, 0.0, witness, 1.0, [0.0] * n, [0] * n, "zero_matrix")
+
+
+def _finish(cfg, n, best_b, witness, k, q, used, cut) -> OptimizerRun:
+    """The run of an ``_alternate`` block on b = theta / 2^k: column c of the
+    block belongs to start c % n, the values are scaled back by 2^k, and a
+    start counts as cut when the cap cut any of its columns."""
+    c = len(set((cut % n).tolist()))
+    return OptimizerRun(
+        config=cfg,
+        best_value=float(pow2_scale(best_b, k)),
+        best_witness=witness,
+        converged_fraction=(n - c) / n,
+        per_start_values=pow2_scale(q.reshape(-1, n).max(axis=0), k).tolist(),
+        iterations_used=used.reshape(-1, n).max(axis=0).tolist(),
+        stop_reason="budget" if cut.size else "tolerance",
+    )
 
 
 def _unit_scalars(z: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -333,15 +354,7 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
     s_best = np.ones(d, dtype=complex)
     _unit_scalars(r_best.conj(), s_best)
     witness = (PolydiscTuple(s_best).validate(), PolydiscTuple(t_best).validate())
-    return OptimizerRun(
-        config=cfg,
-        best_value=float(pow2_scale(np.abs(r_best).sum(), k)),
-        best_witness=witness,
-        converged_fraction=1 - len(set((cut % n).tolist())) / n,
-        per_start_values=pow2_scale(q.reshape(4, n).max(axis=0), k).tolist(),
-        iterations_used=used.reshape(4, n).max(axis=0).tolist(),
-        stop_reason="budget" if cut.size else "tolerance",
-    )
+    return _finish(cfg, n, np.abs(r_best).sum(), witness, k, q, used, cut)
 
 
 def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
@@ -369,6 +382,10 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
         zero = VectorTuple(e0, np.zeros(d))
         return _zero_matrix_run(cfg, n, (zero, zero))
 
+    b, k = pow2_normalize(a)
+    # the seed start runs g_lower on theta, which normalizes it to this same b;
+    # b itself can normalize anew (the modulus of a subnormal largest entry
+    # rounds, and can leave max |b_ij| below 1/2)
     s_w, t_w = g_lower(a, cfg).best_witness
     # xy[0, :, i, :, s] is x_i of start s as [Re; Im] rows, xy[1] likewise y
     xy = np.zeros((2, 2, d, d, n))
@@ -380,7 +397,6 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
     for v in xy:
         _unit_vectors(v[..., 1:], v[..., 1:])
 
-    b, k = pow2_normalize(a)
     x, y = xy[:, 0] + 1j * xy[:, 1]
     q = np.abs(np.einsum("ij,iks,jks->s", b, x.conj(), y))
     b_r = np.block([[b.real, -b.imag], [b.imag, b.real]])
@@ -391,15 +407,7 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
     # previous unit value where its new direction is 0
     x, y = xy[:, 0, ..., best] + 1j * xy[:, 1, ..., best]
     witness = (VectorTuple(x, np.ones(d)).validate(), VectorTuple(y, np.ones(d)).validate())
-    return OptimizerRun(
-        config=cfg,
-        best_value=float(pow2_scale(q[best], k)),
-        best_witness=witness,
-        converged_fraction=(n - cut.size) / n,
-        per_start_values=pow2_scale(q, k).tolist(),
-        iterations_used=used.tolist(),
-        stop_reason="budget" if cut.size else "tolerance",
-    )
+    return _finish(cfg, n, q[best], witness, k, q, used, cut)
 
 
 @dataclass
@@ -518,38 +526,37 @@ def classify(theta, config: Optional[OptimizerConfig] = None) -> GClassification
     """
     a = require_square(theta)
     d = a.shape[0]
-    # bound b = theta / 2^k, whose bounds are floats: theta's bounds are 2^k
-    # times those (inf past the float range), its scales 2^-k times b's
+    # bound b = theta / 2^k and scale back once: theta's bounds are 2^k times
+    # b's (inf past the float range), its scales 2^-k times b's
     b, k = pow2_normalize(a)
     run = g_lower(b, config)
-    l1_b, s_max_b = norm_entrywise_l1(b), largest_singular_value(b)
+    abs_b = np.abs(b)
+    l1_b, gp_b = abs_b.sum(), d * largest_singular_value(b)
+    upper_b = min(l1_b, gp_b)
     # the witness value is summed in round-to-nearest and can pass the
-    # certified bound by an ulp: cap it on b, where the scaling entries are
-    # formed, and again after scaling back, where d * s_max rounds anew when
-    # it is subnormal, so that lower <= upper holds exactly
-    lower_b = min(run.best_value, l1_b, d * s_max_b)
-    lower, l1, s_max = pow2_scale([lower_b, l1_b, s_max_b], k).tolist()
-    gp = d * s_max
-    upper = min(l1, gp)
-    lower = min(lower, upper)
+    # certified bound by an ulp; scaling back is monotone, so one cap on b
+    # keeps lower <= upper
+    lower_b = min(run.best_value, upper_b)
+    lower, upper, gp, l1, fro, entry_max = pow2_scale(
+        [lower_b, upper_b, gp_b, l1_b, np.linalg.norm(b), abs_b.max()], k).tolist()
     in_g_prime, in_g = unit_set_verdicts(lower, upper, gp)
 
     bound = 1.0 + G_PRIME_TOL          # each check follows from d s_max <= bound
     necessary = {
-        "entry_max_le_inv_d": bool(d * float(np.abs(a).max()) <= bound),
+        "entry_max_le_inv_d": bool(d * entry_max <= bound),
         "l1_le_d": bool(l1 <= d * bound),
-        "frobenius_le_1": bool(norm_frobenius(a) <= bound),
+        "frobenius_le_1": bool(fro <= bound),
     }
     gro10 = bool(in_g != "certified_no" and l1 > 1.0)
 
     scaling = {}
-    if s_max_b > 0:
-        scaling["lambda_max_in_G_prime"] = 1.0 / (d * s_max_b)
+    if gp_b > 0:
+        scaling["lambda_max_in_G_prime"] = 1.0 / gp_b
     if lower_b > 0:
         # scales above this are certified outside the polydisc set by the witness
         scaling["lambda_certified_outside_G_beyond"] = 1.0 / lower_b
-    if s_max_b > 0:
-        scaling["lambda_max_certified_in_G"] = 1.0 / min(l1_b, d * s_max_b)
+    if upper_b > 0:
+        scaling["lambda_max_certified_in_G"] = 1.0 / upper_b
     scaling = dict(zip(scaling, pow2_scale(list(scaling.values()), -k).tolist()))
 
     return GClassification(

@@ -104,6 +104,11 @@ def test_eval_q_projector_d4():
 def test_eval_q_rejects_mismatch():
     with pytest.raises(InputValidationError):
         eval_Q_trace(np.eye(2), np.eye(3), np.eye(3))
+    # rows of V or W outside the unit ball
+    with pytest.raises(InputValidationError, match="unit ball"):
+        eval_Q_trace(np.eye(2), 2 * np.eye(2), np.eye(2))
+    with pytest.raises(InputValidationError, match="unit ball"):
+        eval_Q_trace(np.eye(2), np.eye(2), np.diag([1.0, 1.0 + 1e-9]))
 
 
 # --- ball supremum ---
@@ -583,6 +588,33 @@ def test_classify_bracket_orders():
         assert res.g_lower <= res.g_upper
         assert res.g_lower <= res.g_prime
         assert res.g_upper <= res.l1_norm + 1e-12
+        # classify reports the public bounds bit for bit
+        assert res.g_prime == g_prime(theta)
+        assert res.g_upper == g_upper(theta)
+        assert res.l1_norm == norm_entrywise_l1(theta)
+        assert res.g_upper <= res.g_prime
+
+
+def test_classify_and_max_q_lower_reach_the_traced_layers(monkeypatch):
+    # perfbench's per-layer figures time g_lower and largest_singular_value
+    # through forms' module attributes; each call must go through them
+    calls = {"g_lower": 0, "largest_singular_value": 0}
+
+    def counted(name):
+        inner = getattr(forms, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(forms, name, counted(name))
+    theta = complex_gaussian(np.random.default_rng(5), 3)
+    classify(theta, SMALL)
+    assert calls == {"g_lower": 1, "largest_singular_value": 1}
+    max_q_lower(theta, SMALL)
+    assert calls == {"g_lower": 2, "largest_singular_value": 1}
 
 
 def test_classify_at_the_top_of_the_float_range():
