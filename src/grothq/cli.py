@@ -4,6 +4,9 @@ Subcommands: norms, classify, gbound, phases, states, projector, experiment.
 Every command emits one JSON document on stdout (rarity runs may stream JSONL
 records first).  Exit codes: 0 success, 2 input validation failure, 3
 numerical non-convergence.
+
+Each ``cmd_*`` returns its document and ``dispatch`` prints it; a command
+with ``--matrix`` finds the loaded matrix in ``args.matrix``.
 """
 
 import argparse
@@ -40,15 +43,7 @@ def load_config(path) -> CliConfig:
     """Type-check the config file's JSON; OptimizerConfig checks the ranges."""
     if path is None:
         return CliConfig()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise InputValidationError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise InputValidationError(f"malformed config JSON in {path}: {exc}")
-    except UnicodeDecodeError as exc:
-        raise InputValidationError(f"config file is not UTF-8 text: {path}: {exc}")
+    doc = matrix_io.read_json(path, "config")
     if not isinstance(doc, dict):
         raise InputValidationError("config must be a JSON object")
     tol = doc.get("tolerances", {})
@@ -68,39 +63,30 @@ def load_config(path) -> CliConfig:
     return CliConfig(forms.OptimizerConfig(**settings), output_path)
 
 
-def _emit(doc: dict):
-    print(json.dumps(doc))
-
-
 def cmd_norms(args, cli_cfg):
-    m = matrix_io.load_matrix(args.matrix)
-    _emit(norms.norm_report(m).to_dict())
+    return norms.norm_report(args.matrix).to_dict()
 
 
 def cmd_gbound(args, cli_cfg):
-    a = require_square(matrix_io.load_matrix(args.matrix))
-    l1, gp = norm_entrywise_l1(a), forms.g_prime(a)
-    _emit({
+    a = require_square(args.matrix)
+    return {
         "dim": a.shape[0],
-        "l1_norm": l1,
+        "l1_norm": norm_entrywise_l1(a),
         "s_max": largest_singular_value(a),
-        "g_prime": gp,
-        "g_upper": min(l1, gp),
-    })
+        "g_prime": forms.g_prime(a),
+        "g_upper": forms.g_upper(a),
+    }
 
 
 def cmd_classify(args, cli_cfg):
-    m = matrix_io.load_matrix(args.matrix)
     cfg = cli_cfg.optimizer
-    result = forms.classify(m, cfg)
-    doc = result.to_dict()
+    doc = forms.classify(args.matrix, cfg).to_dict()
     doc["optimizer"] = {"starts": cfg.starts, "seed": cfg.seed}
-    _emit(doc)
+    return doc
 
 
 def cmd_phases(args, cli_cfg):
-    m = matrix_io.load_matrix(args.matrix)
-    _emit(forms.phase_system_solvable(m).to_dict())
+    return forms.phase_system_solvable(args.matrix).to_dict()
 
 
 def cmd_states(args, cli_cfg):
@@ -125,7 +111,7 @@ def cmd_states(args, cli_cfg):
     if which == "all":
         doc["overlap_power_sums"] = {
             str(r): states.overlap_power_sum(family, 0, r) for r in (1, 2, 3, 4)}
-    _emit(doc)
+    return doc
 
 
 def cmd_projector(args, cli_cfg):
@@ -133,7 +119,7 @@ def cmd_projector(args, cli_cfg):
     proj = states.build_projector(family)
     matrix_io.save_matrix(args.out, proj.matrix)
     clusters = eigenvalue_multiplicities(proj.eigenvalues)
-    _emit({
+    return {
         "dim": family.dim,
         "dim_big": proj.dim_big,
         "rank": proj.rank,
@@ -142,24 +128,24 @@ def cmd_projector(args, cli_cfg):
         "n_factor": norms.normalization_factor(proj.matrix),
         "unit_set_scale": float(np.sqrt(family.dim - 1)),
         "out": args.out,
-    })
+    }
 
 
 def cmd_h6(args, cli_cfg):
-    _emit(experiments.run_h6(args.lam).to_dict())
+    return experiments.run_h6(args.lam).to_dict()
 
 
 def cmd_h12(args, cli_cfg):
-    _emit(experiments.run_h12(args.lam).to_dict())
+    return experiments.run_h12(args.lam).to_dict()
 
 
 def cmd_g6(args, cli_cfg):
     cfg = cli_cfg.optimizer
-    _emit(experiments.certify_g6(starts=cfg.starts, seed=cfg.seed).to_dict())
+    return experiments.certify_g6(starts=cfg.starts, seed=cfg.seed).to_dict()
 
 
 def cmd_bounded(args, cli_cfg):
-    _emit(experiments.run_bounded_demo(args.dim, args.samples, cli_cfg.optimizer.seed).to_dict())
+    return experiments.run_bounded_demo(args.dim, args.samples, cli_cfg.optimizer.seed).to_dict()
 
 
 def cmd_rarity(args, cli_cfg):
@@ -178,7 +164,7 @@ def cmd_rarity(args, cli_cfg):
 
         stats = experiments.run_rarity(
             args.ensemble, args.samples, cfg.seed, cfg.starts, dim=args.dim, sink=sink)
-    _emit(stats.to_dict())
+    return stats.to_dict()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,23 +174,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "projectors, and the bound-region experiments.")
     parser.add_argument("--config", help="JSON file mirroring CliConfig")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options several commands share, each declared once in its own parent
+    matrix, seed, starts = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    matrix.add_argument("--matrix", required=True)
+    seed.add_argument("--seed", type=int, default=None)
+    starts.add_argument("--starts", type=int, default=None)
 
-    p = sub.add_parser("norms", help="row-norm report for a matrix JSON file")
-    p.add_argument("--matrix", required=True)
+    p = sub.add_parser("norms", parents=[matrix], help="row-norm report for a matrix JSON file")
     p.set_defaults(func=cmd_norms)
 
-    p = sub.add_parser("classify", help="bracket g and certify unit-set membership")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--starts", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p = sub.add_parser("classify", parents=[matrix, seed, starts],
+                       help="bracket g and certify unit-set membership")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("gbound", help="closed-form upper bounds only")
-    p.add_argument("--matrix", required=True)
+    p = sub.add_parser("gbound", parents=[matrix], help="closed-form upper bounds only")
     p.set_defaults(func=cmd_gbound)
 
-    p = sub.add_parser("phases", help="solvability of the phase system phi_ij = chi_i + psi_j")
-    p.add_argument("--matrix", required=True)
+    p = sub.add_parser("phases", parents=[matrix],
+                       help="solvability of the phase system phi_ij = chi_i + psi_j")
     p.set_defaults(func=cmd_phases)
 
     p = sub.add_parser("states", help="build a state family and run its checks")
@@ -227,21 +214,19 @@ def build_parser() -> argparse.ArgumentParser:
     q = ex.add_parser("h12", help="12-dim projector trace value q = 12 lambda")
     q.add_argument("--lambda", dest="lam", type=float, required=True)
     q.set_defaults(func=cmd_h12)
-    q = ex.add_parser("g6", help="two-route certification of the 6-dim supremum")
-    q.add_argument("--starts", type=int, default=None)
-    q.add_argument("--seed", type=int, default=None)
+    q = ex.add_parser("g6", parents=[seed, starts],
+                      help="two-route certification of the 6-dim supremum")
     q.set_defaults(func=cmd_g6)
-    q = ex.add_parser("bounded", help="density/unitary trace values stay within 1")
+    q = ex.add_parser("bounded", parents=[seed],
+                      help="density/unitary trace values stay within 1")
     q.add_argument("--dim", type=int, required=True)
     q.add_argument("--samples", type=int, required=True)
-    q.add_argument("--seed", type=int, default=None)
     q.set_defaults(func=cmd_bounded)
-    q = ex.add_parser("rarity", help="random-sampling study of values above 1")
+    q = ex.add_parser("rarity", parents=[seed, starts],
+                      help="random-sampling study of values above 1")
     q.add_argument("--ensemble", required=True,
                    choices=list(experiments.RARITY_ENSEMBLES))
     q.add_argument("--samples", type=int, required=True)
-    q.add_argument("--seed", type=int, default=None)
-    q.add_argument("--starts", type=int, default=None)
     q.add_argument("--dim", type=int, default=6)
     q.add_argument("--out", default=None, help="JSONL file to append records to")
     q.set_defaults(func=cmd_rarity)
@@ -261,7 +246,9 @@ def dispatch(argv) -> int:
         overrides = {key: getattr(args, key) for key in ("seed", "starts")
                      if getattr(args, key, None) is not None}
         cli_cfg.optimizer = replace(cli_cfg.optimizer, **overrides)
-        args.func(args, cli_cfg)
+        if hasattr(args, "matrix"):
+            args.matrix = matrix_io.load_matrix(args.matrix)
+        print(json.dumps(args.func(args, cli_cfg)))
     except (InputValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -283,7 +283,6 @@ def run_bounded_demo(d: int, samples: int, seed: int) -> ExperimentRecord:
         raise InputValidationError("seed must be a non-negative integer")
     max_trace = 0.0
     rrr_min = math.inf
-    tighter_always = True
     for i in range(samples):
         rng = np.random.default_rng([seed, i])
         rho = random_density(rng, d)
@@ -295,8 +294,6 @@ def run_bounded_demo(d: int, samples: int, seed: int) -> ExperimentRecord:
         e_max = largest_singular_value(rho)
         rrr = min(d * e_max * K_G_UPPER, norm_entrywise_l1(rho))
         rrr_min = min(rrr_min, rrr)
-        if rrr < 1.0 - 1e-12:
-            tighter_always = False
 
     weyl_max = None
     if d % 2 == 1:
@@ -316,7 +313,7 @@ def run_bounded_demo(d: int, samples: int, seed: int) -> ExperimentRecord:
         region=kg_region_check(max_trace),
         diagnostics={
             "generic_bound_min": rrr_min,
-            "unit_bound_tighter_always": tighter_always,
+            "unit_bound_tighter_always": rrr_min >= 1.0 - 1e-12,
             "weyl_max": weyl_max,
         },
     )

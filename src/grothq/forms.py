@@ -383,10 +383,7 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
         return _zero_matrix_run(cfg, n, (zero, zero))
 
     b, k = pow2_normalize(a)
-    # the seed start runs g_lower on theta, which normalizes it to this same b;
-    # b itself can normalize anew (the modulus of a subnormal largest entry
-    # rounds, and can leave max |b_ij| below 1/2)
-    s_w, t_w = g_lower(a, cfg).best_witness
+    s_w, t_w = g_lower(b, cfg).best_witness
     # xy[0, :, i, :, s] is x_i of start s as [Re; Im] rows, xy[1] likewise y
     xy = np.zeros((2, 2, d, d, n))
     w = np.array([np.conj(s_w.values), t_w.values])  # start 0: g_lower's witness

@@ -34,6 +34,10 @@ class ConvergenceError(RuntimeError):
     """Raised when a LAPACK routine fails to converge."""
 
 
+# frexp exponents up to this one are those of subnormal moduli
+_SUBNORMAL_EXP = np.finfo(float).minexp
+
+
 def as_matrix(m) -> np.ndarray:
     """Validate and return a 2-D complex128 array whose entries have finite
     moduli (so neither part is nan or inf, nor is the modulus past the float
@@ -90,8 +94,15 @@ def pow2_split(a: np.ndarray, axis=None):
     _, e = np.frexp(np.abs(a).max(axis=axis, keepdims=True))
     if np.iscomplexobj(a):
         # ldexp on the real parts: complex division by a subnormal 2^e overflows
-        return np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e), e
-    return np.ldexp(a, -e), e
+        b = np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)
+    else:
+        b = np.ldexp(a, -e)
+    if np.minimum.reduce(e, axis=None, initial=0) <= _SUBNORMAL_EXP:
+        # a subnormal modulus is rounded on the subnormal grid and can cross a
+        # power of two; the exactly scaled b has normal moduli, so split it once more
+        b, e2 = pow2_split(b, axis)
+        e = e + e2
+    return b, e
 
 
 def pow2_scale(x, e):

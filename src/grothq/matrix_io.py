@@ -7,7 +7,6 @@ A complex number is the pair [re, im] (``complex_pairs``).  Matrix schema
 """
 
 import json
-import os
 import sys
 
 import numpy as np
@@ -67,17 +66,22 @@ def matrix_from_dict(doc) -> np.ndarray:
     return flat.reshape(rows, cols)
 
 
-def load_matrix(path: str) -> np.ndarray:
-    if not os.path.exists(path):
-        raise InputValidationError(f"matrix file not found: {path}")
+def read_json(path: str, what: str):
+    """The JSON document in the file at path: the one reader of every JSON
+    input, ``what`` naming the file in its errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise InputValidationError(f"{what} file not found: {path}") from exc
     except json.JSONDecodeError as exc:
-        raise InputValidationError(f"malformed JSON in {path}: {exc}") from exc
+        raise InputValidationError(f"malformed {what} JSON in {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise InputValidationError(f"matrix file is not UTF-8 text: {path}: {exc}") from exc
-    return matrix_from_dict(doc)
+        raise InputValidationError(f"{what} file is not UTF-8 text: {path}: {exc}") from exc
+
+
+def load_matrix(path: str) -> np.ndarray:
+    return matrix_from_dict(read_json(path, "matrix"))
 
 
 def save_matrix(path: str, m) -> None:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import grothq
-from grothq import (build_family, build_projector, cli, eigenvalue_multiplicities,
-                    hermitian_eig, linalg, matrix_to_dict, fourier_matrix,
-                    normalization_factor, save_matrix, states)
+from grothq import (OptimizerConfig, build_family, build_projector, classify, cli,
+                    eigenvalue_multiplicities, hermitian_eig, linalg, matrix_to_dict,
+                    fourier_matrix, normalization_factor, save_matrix, states)
 from grothq.cli import dispatch
 from grothq.linalg import InputValidationError
 from grothq.matrix_io import load_matrix
@@ -97,6 +97,25 @@ def test_cli_exit_2_on_file_not_utf8(tmp_path, capsys, role):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert "UTF-8" in captured.err
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("missing", "error: {what} file not found: {path}\n"),
+    ("malformed", "error: malformed {what} JSON in {path}: "),
+])
+@pytest.mark.parametrize("what", ["matrix", "config"])
+def test_matrix_and_config_files_share_one_reader(tmp_path, capsys, what, fault, message):
+    # the UTF-8 message is checked by test_cli_exit_2_on_file_not_utf8
+    bad = tmp_path / "bad.json"
+    if fault == "malformed":
+        bad.write_text("{not json")
+    path = write_matrix(tmp_path, "m.json", np.eye(2))
+    argv = (["norms", "--matrix", str(bad)] if what == "matrix"
+            else ["--config", str(bad), "norms", "--matrix", path])
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message.format(what=what, path=bad))
 
 
 def test_cli_exit_2_on_bad_matrix(tmp_path, capsys):
@@ -233,6 +252,37 @@ def test_states_subcommand(capsys):
     assert doc["isotropy"]["ok"] is True
     assert doc["permutation_invariance"]["ok"] is True
     assert doc["overlap_power_sums"]["2"] == pytest.approx(3.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["gbound", "--matrix", "theta.json"],
+     ["dim", "l1_norm", "s_max", "g_prime", "g_upper"]),
+    (["projector", "--dim", "3", "--out", "pi.json"],
+     ["dim", "dim_big", "rank", "trace", "eigenvalue_clusters", "n_factor",
+      "unit_set_scale", "out"]),
+    (["states", "--dim", "4"],
+     ["dim", "count", "recipe", "resolution_residual", "isotropy",
+      "permutation_invariance", "overlap_power_sums"]),
+    (["states", "--dim", "5", "--check", "permutation"],
+     ["dim", "count", "recipe", "note", "permutation_invariance"]),
+], ids=["gbound", "projector", "states", "states_dim5_permutation"])
+def test_cli_only_documents_keep_their_key_order(tmp_path, capsys, monkeypatch, argv, keys):
+    monkeypatch.chdir(tmp_path)
+    write_matrix(tmp_path, "theta.json", [[1, 2j], [0.5, -1]])
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert list(json.loads(out)) == keys
+
+
+def test_classify_document_is_the_classification_then_its_optimizer(tmp_path, capsys):
+    theta = np.array([[1, 2j], [0.5, -1]])
+    path = write_matrix(tmp_path, "theta.json", theta)
+    code, out = run_cli(capsys, ["classify", "--matrix", path, "--starts", "3", "--seed", "5"])
+    assert code == 0
+    doc = json.loads(out)
+    expected = classify(theta, OptimizerConfig(starts=3, seed=5)).to_dict()
+    assert list(doc) == [*expected, "optimizer"]
+    assert list(doc["optimizer"].items()) == [("starts", 3), ("seed", 5)]
 
 
 def test_experiment_h6(capsys):

@@ -592,6 +592,7 @@ def test_classify_bracket_orders():
         assert res.g_prime == g_prime(theta)
         assert res.g_upper == g_upper(theta)
         assert res.l1_norm == norm_entrywise_l1(theta)
+        assert res.g_lower == min(g_lower(theta, cfg).best_value, res.g_upper)
         assert res.g_upper <= res.g_prime
 
 

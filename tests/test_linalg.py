@@ -21,7 +21,7 @@ from grothq import (
     permutation_matrix,
 )
 from grothq.ensembles import complex_gaussian, random_hermitian, random_unitary
-from grothq.linalg import as_matrix
+from grothq.linalg import as_matrix, pow2_normalize
 
 
 def pi6():
@@ -200,6 +200,20 @@ def test_smax_tiny_matrix_does_not_underflow():
 
 def fail_to_converge(*args, **kwargs):
     raise np.linalg.LinAlgError("injected non-convergence")
+
+
+@pytest.mark.parametrize("theta", [
+    complex_gaussian(np.random.default_rng(12), 5) * 5e-323,
+    np.array([[complex(float.fromhex("0x0.25021a53b4dd0p-1022"),
+                       float.fromhex("0x0.7a8881a94bb42p-1022"))]]),
+], ids=["gaussian", "top_subnormal_binade"])
+def test_pow2_normalize_is_idempotent_on_a_subnormal_complex_matrix(theta):
+    # np.abs rounds each largest modulus on the subnormal grid up to a power
+    # of two; one split left max |b_ij| at 0.486 and at 0.49999999999999994
+    b, k = pow2_normalize(theta)
+    assert 0.5 <= np.abs(b).max() < 1
+    assert pow2_normalize(b)[1] == 0
+    assert np.array_equal(np.ldexp(b.real, k) + 1j * np.ldexp(b.imag, k), theta)
 
 
 def test_smax_lapack_failure_raises_convergence_error(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from grothq import (
     OptimizerConfig,
+    PolydiscTuple,
     eval_C,
     eval_Q_trace,
     g_lower,
@@ -310,9 +311,7 @@ def test_pow2_split_scales_each_slice_exactly(a_axis):
         assert np.all(np.abs(part_back - part_a) <= np.ldexp(1.0, e - 1075))
     top_b = np.abs(b).max(axis=axis, keepdims=True)
     assert np.all(e[top_a == 0] == 0)
-    # below TINY np.abs rounds the modulus of a complex entry to the
-    # subnormal grid, so it can cross a power of two
-    checked = top_a >= TINY if np.iscomplexobj(a) else top_a > 0
+    checked = top_a > 0
     assert np.all((0.5 <= top_b[checked]) & (top_b[checked] < 1))
 
 
@@ -402,6 +401,25 @@ def test_phase_verdict_invariant(theta, data):
     u = np.exp(1j * data.draw(arrays(float, d, elements=angles)))
     v = np.exp(1j * data.draw(arrays(float, d, elements=angles)))
     assert phase_system_solvable(u[:, None] * theta * v[None, :]).solvable == verdict
+
+
+@PROPERTY
+@given(st.one_of(matrices(), sparse_matrices()), configs, st.data())
+def test_bounds_invariant_under_permutations_and_diagonal_unitaries(theta, cfg, data):
+    # theta' = U theta[p][:, q] V with U, V unimodular diagonals: g' and the
+    # upper bound do not move, and the witness s'_a = s_p(a) / u_a,
+    # t'_b = t_q(b) / v_b of theta' keeps the value of the witness of theta
+    d = theta.shape[0]
+    p = np.array(data.draw(st.permutations(range(d))))
+    q = np.array(data.draw(st.permutations(range(d))))
+    u = np.exp(1j * data.draw(arrays(float, d, elements=angles)))
+    v = np.exp(1j * data.draw(arrays(float, d, elements=angles)))
+    moved = u[:, None] * theta[np.ix_(p, q)] * v[None, :]
+    assert close(g_upper(moved), g_upper(theta), 1e-12)
+    assert close(g_prime(moved), g_prime(theta), 1e-12)
+    s, t = g_lower(theta, cfg).best_witness
+    s_moved, t_moved = PolydiscTuple(s.values[p] / u), PolydiscTuple(t.values[q] / v)
+    assert close(eval_C(moved, s_moved, t_moved), eval_C(theta, s, t), 1e-12)
 
 
 @PROPERTY
