@@ -23,9 +23,6 @@ from .linalg import (
     ConvergenceError,
     InputValidationError,
     eigenvalue_multiplicities,
-    largest_singular_value,
-    norm_entrywise_l1,
-    require_square,
 )
 
 EXIT_OK = 0
@@ -68,14 +65,7 @@ def cmd_norms(args, cli_cfg):
 
 
 def cmd_gbound(args, cli_cfg):
-    a = require_square(args.matrix)
-    return {
-        "dim": a.shape[0],
-        "l1_norm": norm_entrywise_l1(a),
-        "s_max": largest_singular_value(a),
-        "g_prime": forms.g_prime(a),
-        "g_upper": forms.g_upper(a),
-    }
+    return {"dim": args.matrix.shape[0], **forms.closed_form_bounds(args.matrix)}
 
 
 def cmd_classify(args, cli_cfg):
@@ -175,10 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file mirroring CliConfig")
     sub = parser.add_subparsers(dest="command", required=True)
     # the options several commands share, each declared once in its own parent
-    matrix, seed, starts = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    matrix, seed, starts, dim, samples, lam = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6))
     matrix.add_argument("--matrix", required=True)
     seed.add_argument("--seed", type=int, default=None)
     starts.add_argument("--starts", type=int, default=None)
+    dim.add_argument("--dim", type=int, required=True)
+    samples.add_argument("--samples", type=int, required=True)
+    lam.add_argument("--lambda", dest="lam", type=float, required=True)
 
     p = sub.add_parser("norms", parents=[matrix], help="row-norm report for a matrix JSON file")
     p.set_defaults(func=cmd_norms)
@@ -194,39 +188,33 @@ def build_parser() -> argparse.ArgumentParser:
                        help="solvability of the phase system phi_ij = chi_i + psi_j")
     p.set_defaults(func=cmd_phases)
 
-    p = sub.add_parser("states", help="build a state family and run its checks")
-    p.add_argument("--dim", type=int, required=True)
+    p = sub.add_parser("states", parents=[dim], help="build a state family and run its checks")
     p.add_argument("--check", choices=["all", "resolution", "isotropy", "permutation"],
                    default="all")
     p.set_defaults(func=cmd_states)
 
-    p = sub.add_parser("projector", help="write the overlap projector as matrix JSON")
-    p.add_argument("--dim", type=int, required=True)
+    p = sub.add_parser("projector", parents=[dim],
+                       help="write the overlap projector as matrix JSON")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_projector)
 
     p = sub.add_parser("experiment", help="run a named experiment")
     ex = p.add_subparsers(dest="kind", required=True)
 
-    q = ex.add_parser("h6", help="6-dim projector trace value q = 6 lambda")
-    q.add_argument("--lambda", dest="lam", type=float, required=True)
+    q = ex.add_parser("h6", parents=[lam], help="6-dim projector trace value q = 6 lambda")
     q.set_defaults(func=cmd_h6)
-    q = ex.add_parser("h12", help="12-dim projector trace value q = 12 lambda")
-    q.add_argument("--lambda", dest="lam", type=float, required=True)
+    q = ex.add_parser("h12", parents=[lam], help="12-dim projector trace value q = 12 lambda")
     q.set_defaults(func=cmd_h12)
     q = ex.add_parser("g6", parents=[seed, starts],
                       help="two-route certification of the 6-dim supremum")
     q.set_defaults(func=cmd_g6)
-    q = ex.add_parser("bounded", parents=[seed],
+    q = ex.add_parser("bounded", parents=[seed, dim, samples],
                       help="density/unitary trace values stay within 1")
-    q.add_argument("--dim", type=int, required=True)
-    q.add_argument("--samples", type=int, required=True)
     q.set_defaults(func=cmd_bounded)
-    q = ex.add_parser("rarity", parents=[seed, starts],
+    q = ex.add_parser("rarity", parents=[seed, starts, samples],
                       help="random-sampling study of values above 1")
     q.add_argument("--ensemble", required=True,
                    choices=list(experiments.RARITY_ENSEMBLES))
-    q.add_argument("--samples", type=int, required=True)
     q.add_argument("--dim", type=int, default=6)
     q.add_argument("--out", default=None, help="JSONL file to append records to")
     q.set_defaults(func=cmd_rarity)

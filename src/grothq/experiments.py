@@ -22,14 +22,14 @@ from .ensembles import (
 from .forms import (
     K_G_UPPER,
     OptimizerConfig,
+    closed_form_bounds,
     eval_Q_trace,
     g_lower,
-    g_prime,
     kg_region_check,
     max_q_lower,
     unit_set_verdicts,
 )
-from .linalg import InputValidationError, largest_singular_value, norm_entrywise_l1
+from .linalg import InputValidationError
 from .states import build_family, build_projector, torus_witness
 
 __all__ = [
@@ -291,8 +291,8 @@ def run_bounded_demo(d: int, samples: int, seed: int) -> ExperimentRecord:
         if val > 1.0 + 1e-12:
             raise ConsistencyError(f"|Tr(rho U)| = {val} exceeded 1")
         max_trace = max(max_trace, val)
-        e_max = largest_singular_value(rho)
-        rrr = min(d * e_max * K_G_UPPER, norm_entrywise_l1(rho))
+        bounds = closed_form_bounds(rho)
+        rrr = min(d * bounds["s_max"] * K_G_UPPER, bounds["l1_norm"])
         rrr_min = min(rrr_min, rrr)
 
     weyl_max = None
@@ -346,8 +346,8 @@ def _rarity_sample(ensemble: str, dim: int, seed: int, index: int):
     else:
         raise InputValidationError(
             f"unknown ensemble {ensemble!r}; choose from {RARITY_ENSEMBLES}")
-    gp = g_prime(m)
-    scale = min(norm_entrywise_l1(m), gp)          # g_upper(m), so g(m / scale) <= 1
+    bounds = closed_form_bounds(m)
+    gp, scale = bounds["g_prime"], bounds["g_upper"]    # g(m / scale) <= 1
     if scale == 0.0:
         return np.zeros_like(m), {**fields, "scale": 0.0}, (0.0, 0.0, 0.0)
     return m / scale, {**fields, "scale": 1.0 / scale}, (0.0, 1.0, gp / scale)

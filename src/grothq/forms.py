@@ -5,9 +5,11 @@ the scalars constrained to the unit polydisc; its supremum g(theta) is
 bracketed by explicit witnesses from below and by min(||theta||_1, d * s_max)
 from above.  With the scalars in the radius-sqrt(d) ball instead, the
 supremum g'(theta) equals d * s_max exactly, so the ball set is decided from
-s_max alone.  Replacing scalars by unit-ball vectors gives the trace form
-|Tr(theta V W^dagger)|, whose supremum can exceed g(theta) but never
-1.4049 * g(theta).
+s_max alone.  ``closed_form_bounds`` gives ||theta||_1, s_max, g' and that
+upper bound from one normalization and one SVD; ``g_prime``, ``g_upper`` and
+``classify`` take them from the same rule, ``_closed_form``.  Replacing
+scalars by unit-ball vectors gives the trace form |Tr(theta V W^dagger)|,
+whose supremum can exceed g(theta) but never 1.4049 * g(theta).
 """
 
 from dataclasses import asdict, dataclass, fields
@@ -20,7 +22,6 @@ from .linalg import (
     InputValidationError,
     as_matrix,
     largest_singular_value,
-    norm_entrywise_l1,
     pow2_normalize,
     pow2_scale,
     pow2_split,
@@ -39,6 +40,7 @@ __all__ = [
     "PhaseSystemReport",
     "eval_C",
     "eval_Q_trace",
+    "closed_form_bounds",
     "g_prime",
     "g_upper",
     "g_lower",
@@ -127,17 +129,35 @@ def eval_Q_trace(theta, v, w) -> float:
     return float(abs(np.trace(a @ vm @ wm.conj().T)))
 
 
-def g_prime(theta) -> float:
-    """Exact ball supremum: d times the largest singular value, formed on
-    theta / 2^k and scaled back, so it rounds once."""
+def _closed_form(b):
+    """(||b||_1, s_max(b), g'(b) = d s_max(b), min(||b||_1, g'(b))) for a
+    ``pow2_normalize``d b: the one statement of the certified upper bound."""
+    l1 = np.abs(b).sum()
+    s_max = largest_singular_value(b)
+    gp = b.shape[0] * s_max
+    return l1, s_max, gp, min(l1, gp)
+
+
+def closed_form_bounds(theta) -> dict:
+    """The closed-form bracket of theta: ``l1_norm`` ||theta||_1, ``s_max``,
+    the exact ball supremum ``g_prime`` = d s_max, and the certified upper
+    bound ``g_upper`` = min(||theta||_1, d s_max) of the polydisc supremum.
+    All four are formed on theta / 2^k and scaled back together, so g'
+    rounds once."""
     b, k = pow2_normalize(require_square(theta))
-    return float(pow2_scale(b.shape[0] * largest_singular_value(b), k))
+    values = pow2_scale(list(_closed_form(b)), k).tolist()
+    return dict(zip(("l1_norm", "s_max", "g_prime", "g_upper"), values))
+
+
+def g_prime(theta) -> float:
+    """Exact ball supremum d s_max, as ``closed_form_bounds`` gives it."""
+    return closed_form_bounds(theta)["g_prime"]
 
 
 def g_upper(theta) -> float:
-    """Certified upper bound for the polydisc supremum: min(||theta||_1, d s_max)."""
-    a = require_square(theta)
-    return min(norm_entrywise_l1(a), g_prime(a))
+    """Certified upper bound min(||theta||_1, d s_max), as ``closed_form_bounds``
+    gives it."""
+    return closed_form_bounds(theta)["g_upper"]
 
 
 @dataclass(frozen=True)
@@ -527,15 +547,13 @@ def classify(theta, config: Optional[OptimizerConfig] = None) -> GClassification
     # b's (inf past the float range), its scales 2^-k times b's
     b, k = pow2_normalize(a)
     run = g_lower(b, config)
-    abs_b = np.abs(b)
-    l1_b, gp_b = abs_b.sum(), d * largest_singular_value(b)
-    upper_b = min(l1_b, gp_b)
+    l1_b, _, gp_b, upper_b = _closed_form(b)
     # the witness value is summed in round-to-nearest and can pass the
     # certified bound by an ulp; scaling back is monotone, so one cap on b
     # keeps lower <= upper
     lower_b = min(run.best_value, upper_b)
     lower, upper, gp, l1, fro, entry_max = pow2_scale(
-        [lower_b, upper_b, gp_b, l1_b, np.linalg.norm(b), abs_b.max()], k).tolist()
+        [lower_b, upper_b, gp_b, l1_b, np.linalg.norm(b), np.abs(b).max()], k).tolist()
     in_g_prime, in_g = unit_set_verdicts(lower, upper, gp)
 
     bound = 1.0 + G_PRIME_TOL          # each check follows from d s_max <= bound

@@ -156,6 +156,21 @@ def test_gbound_subcommand(tmp_path, capsys):
     assert doc["g_upper"] == pytest.approx(4.0, abs=1e-9)
 
 
+def test_gbound_runs_one_svd(tmp_path, capsys, monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    path = write_matrix(tmp_path, "m.json", [[1, 2j], [0.5, -1]])
+    code, _ = run_cli(capsys, ["gbound", "--matrix", path])
+    assert code == 0
+    assert calls == [(2, 2)]
+
+
 @pytest.mark.parametrize("command", ["norms", "gbound", "classify"])
 def test_bounds_past_the_float_range_print_no_warning(tmp_path, capsys, command):
     # s_max = 2e308 and ||theta||_1 = 4e308 are inf in the JSON, not warnings
@@ -373,6 +388,34 @@ def test_experiment_rarity_rejected_arguments_leave_no_out_file(tmp_path, capsys
     assert code == 2
     assert out == ""
     assert not out_path.exists()
+
+
+# each command that requires --dim, --samples or --lambda, with its other
+# required arguments, and a value for the flag
+@pytest.mark.parametrize("argv, flag, value", [
+    (["states"], "--dim", "4"),
+    (["projector", "--out", "pi.json"], "--dim", "3"),
+    (["experiment", "bounded", "--samples", "2"], "--dim", "3"),
+    (["experiment", "bounded", "--dim", "3"], "--samples", "2"),
+    (["experiment", "rarity", "--ensemble", "random_normal"], "--samples", "2"),
+    (["experiment", "h6"], "--lambda", "0.1"),
+    (["experiment", "h12"], "--lambda", "0.05"),
+], ids=["states", "projector", "bounded_dim", "bounded_samples", "rarity_samples",
+        "h6", "h12"])
+def test_shared_flags_are_required_where_declared(capsys, argv, flag, value):
+    assert dispatch(argv) == 2
+    assert f"the following arguments are required: {flag}" in capsys.readouterr().err
+    args = cli.build_parser().parse_args(argv + [flag, value])
+    dest = {"--dim": "dim", "--samples": "samples", "--lambda": "lam"}[flag]
+    assert getattr(args, dest) == (float(value) if flag == "--lambda" else int(value))
+
+
+def test_rarity_dim_defaults_to_6_and_lists_samples_before_ensemble(capsys):
+    args = cli.build_parser().parse_args(
+        ["experiment", "rarity", "--ensemble", "random_normal", "--samples", "2"])
+    assert args.dim == 6
+    assert dispatch(["experiment", "rarity"]) == 2
+    assert "required: --samples, --ensemble" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):

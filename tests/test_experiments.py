@@ -15,7 +15,7 @@ from grothq import (
     run_h12,
     run_rarity,
 )
-from grothq import experiments, forms
+from grothq import forms
 from grothq.experiments import RARITY_ENSEMBLES, _rarity_sample
 from grothq.forms import G_PRIME_TOL, g_prime
 from grothq.linalg import largest_singular_value
@@ -257,7 +257,6 @@ def test_rarity_takes_one_svd_per_sample(monkeypatch):
         return largest_singular_value(a)
 
     monkeypatch.setattr(forms, "largest_singular_value", counting)
-    monkeypatch.setattr(experiments, "largest_singular_value", counting)
     run_rarity("random_normal", samples=5, seed=0, starts=2)
     assert len(calls) == 5
 

@@ -24,7 +24,7 @@ from grothq import (
     row_norms,
 )
 from grothq.experiments import _h6_norm_sq, _h6_phase_ascent
-from grothq.forms import G_PRIME_TOL, classify, g_prime, unit_set_verdicts
+from grothq.forms import G_PRIME_TOL, classify, closed_form_bounds, g_prime, unit_set_verdicts
 from grothq.linalg import pow2_normalize, pow2_split
 
 # derandomized so that every run of the suite checks the same examples
@@ -322,6 +322,23 @@ def test_hermitian_eig_descending_with_small_residual(m):
     dec = hermitian_eig(h)
     assert np.all(np.diff(dec.eigenvalues) <= 0)
     assert dec.residual <= 1e-12 * (1 + norm_frobenius(h))
+
+
+@PROPERTY
+@given(matrices(), st.integers(-1070, 1000))
+def test_closed_form_bounds_are_the_separate_values_bit_for_bit(m, j):
+    theta = ldexp(m, j)
+    bounds = closed_form_bounds(theta)
+    l1, gp = norm_entrywise_l1(theta), g_prime(theta)
+    assert list(bounds) == ["l1_norm", "s_max", "g_prime", "g_upper"]
+    assert bounds["l1_norm"] == l1
+    assert bounds["s_max"] == largest_singular_value(theta)
+    assert bounds["g_prime"] == gp
+    assert bounds["g_upper"] == min(l1, gp)
+    res = classify(theta, OptimizerConfig(starts=1))
+    assert res.g_prime == bounds["g_prime"]
+    assert res.g_upper == bounds["g_upper"]
+    assert res.l1_norm == bounds["l1_norm"]
 
 
 # --- phase system phi_ij = chi_i + psi_j (mod 2 pi) ---
