@@ -5,16 +5,17 @@ Every command emits one JSON document on stdout (rarity runs may stream JSONL
 records first).  Exit codes: 0 success, 2 input validation failure, 3
 numerical non-convergence.
 
-Each ``cmd_*`` returns its document and ``dispatch`` prints it; a command
-with ``--matrix`` finds the loaded matrix in ``args.matrix``.
+Flags are the only configuration.  Each ``cmd_*`` takes the parsed flags and
+the ``forms.OptimizerConfig`` that ``dispatch`` builds from ``--seed`` and
+``--starts`` (the defaults are OptimizerConfig's), returns its document, and
+``dispatch`` prints it; a command with ``--matrix`` finds the loaded matrix in
+``args.matrix``.
 """
 
 import argparse
 import json
 import sys
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -30,56 +31,25 @@ EXIT_INPUT = 2
 EXIT_CONVERGENCE = 3
 
 
-@dataclass
-class CliConfig:
-    optimizer: forms.OptimizerConfig = field(default_factory=forms.OptimizerConfig)
-    output_path: Optional[str] = None
-
-
-def load_config(path) -> CliConfig:
-    """Type-check the config file's JSON; OptimizerConfig checks the ranges."""
-    if path is None:
-        return CliConfig()
-    doc = matrix_io.read_json(path, "config")
-    if not isinstance(doc, dict):
-        raise InputValidationError("config must be a JSON object")
-    tol = doc.get("tolerances", {})
-    if not isinstance(tol, dict) or not all(map(matrix_io.is_finite_number, tol.values())):
-        raise InputValidationError("'tolerances' must be an object of finite numbers")
-    settings = {key: doc[key] for key in ("seed", "starts") if key in doc}
-    if "max_iterations" in tol:
-        settings["max_iterations"] = tol["max_iterations"]
-    for key, val in settings.items():
-        if not matrix_io.is_json_int(val):
-            raise InputValidationError(f"{key!r} must be an integer, got {val!r}")
-    if "phase_tolerance" in tol:
-        settings["phase_tolerance"] = float(tol["phase_tolerance"])
-    output_path = doc.get("output_path")
-    if output_path is not None and not isinstance(output_path, str):
-        raise InputValidationError(f"'output_path' must be a string, got {output_path!r}")
-    return CliConfig(forms.OptimizerConfig(**settings), output_path)
-
-
-def cmd_norms(args, cli_cfg):
+def cmd_norms(args, cfg):
     return norms.norm_report(args.matrix).to_dict()
 
 
-def cmd_gbound(args, cli_cfg):
+def cmd_gbound(args, cfg):
     return {"dim": args.matrix.shape[0], **forms.closed_form_bounds(args.matrix)}
 
 
-def cmd_classify(args, cli_cfg):
-    cfg = cli_cfg.optimizer
+def cmd_classify(args, cfg):
     doc = forms.classify(args.matrix, cfg).to_dict()
     doc["optimizer"] = {"starts": cfg.starts, "seed": cfg.seed}
     return doc
 
 
-def cmd_phases(args, cli_cfg):
+def cmd_phases(args, cfg):
     return forms.phase_system_solvable(args.matrix).to_dict()
 
 
-def cmd_states(args, cli_cfg):
+def cmd_states(args, cfg):
     family = states.build_family(args.dim)
     which = args.check
     doc = {"dim": family.dim, "count": family.count,
@@ -104,7 +74,7 @@ def cmd_states(args, cli_cfg):
     return doc
 
 
-def cmd_projector(args, cli_cfg):
+def cmd_projector(args, cfg):
     family = states.build_family(args.dim)
     proj = states.build_projector(family)
     matrix_io.save_matrix(args.out, proj.matrix)
@@ -121,26 +91,23 @@ def cmd_projector(args, cli_cfg):
     }
 
 
-def cmd_h6(args, cli_cfg):
+def cmd_h6(args, cfg):
     return experiments.run_h6(args.lam).to_dict()
 
 
-def cmd_h12(args, cli_cfg):
+def cmd_h12(args, cfg):
     return experiments.run_h12(args.lam).to_dict()
 
 
-def cmd_g6(args, cli_cfg):
-    cfg = cli_cfg.optimizer
+def cmd_g6(args, cfg):
     return experiments.certify_g6(starts=cfg.starts, seed=cfg.seed).to_dict()
 
 
-def cmd_bounded(args, cli_cfg):
-    return experiments.run_bounded_demo(args.dim, args.samples, cli_cfg.optimizer.seed).to_dict()
+def cmd_bounded(args, cfg):
+    return experiments.run_bounded_demo(args.dim, args.samples, cfg.seed).to_dict()
 
 
-def cmd_rarity(args, cli_cfg):
-    cfg = cli_cfg.optimizer
-    out_path = args.out or cli_cfg.output_path
+def cmd_rarity(args, cfg):
     # records go to the --out file when given, else to stdout before the summary;
     # the file opens at the first record, so rejected arguments leave no file
     fh = None
@@ -148,8 +115,8 @@ def cmd_rarity(args, cli_cfg):
         def sink(record):
             nonlocal fh
             if fh is None:
-                fh = (stack.enter_context(open(out_path, "a", encoding="utf-8"))
-                      if out_path else sys.stdout)
+                fh = (stack.enter_context(open(args.out, "a", encoding="utf-8"))
+                      if args.out else sys.stdout)
             fh.write(json.dumps(record) + "\n")
 
         stats = experiments.run_rarity(
@@ -162,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="grothq",
         description="Matrix-form quadratic maximization bounds, coherent-state "
                     "projectors, and the bound-region experiments.")
-    parser.add_argument("--config", help="JSON file mirroring CliConfig")
     sub = parser.add_subparsers(dest="command", required=True)
     # the options several commands share, each declared once in its own parent
     matrix, seed, starts, dim, samples, lam = (
@@ -230,13 +196,12 @@ def dispatch(argv) -> int:
         # argparse exits 0 for --help, 2 for usage errors
         return int(exc.code or 0)
     try:
-        cli_cfg = load_config(args.config)
-        overrides = {key: getattr(args, key) for key in ("seed", "starts")
-                     if getattr(args, key, None) is not None}
-        cli_cfg.optimizer = replace(cli_cfg.optimizer, **overrides)
+        # flags left out keep OptimizerConfig's defaults
+        cfg = forms.OptimizerConfig(**{key: getattr(args, key) for key in ("seed", "starts")
+                                       if getattr(args, key, None) is not None})
         if hasattr(args, "matrix"):
             args.matrix = matrix_io.load_matrix(args.matrix)
-        print(json.dumps(args.func(args, cli_cfg)))
+        print(json.dumps(args.func(args, cfg)))
     except (InputValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

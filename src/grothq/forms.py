@@ -500,7 +500,7 @@ class GClassification:
     g_lower: float
     g_upper: float
     g_prime: float
-    in_G_prime: bool                 # exact: g' <= 1 + 1e-10
+    in_G_prime: bool                 # g' <= 1 + G_PRIME_TOL: a tolerance, not a certificate
     in_G: str                        # "certified_yes" | "certified_no" | "unknown"
     l1_norm: float
     necessary_condition_GRO10: bool

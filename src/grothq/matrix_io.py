@@ -66,22 +66,17 @@ def matrix_from_dict(doc) -> np.ndarray:
     return flat.reshape(rows, cols)
 
 
-def read_json(path: str, what: str):
-    """The JSON document in the file at path: the one reader of every JSON
-    input, ``what`` naming the file in its errors."""
+def load_matrix(path: str) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError as exc:
-        raise InputValidationError(f"{what} file not found: {path}") from exc
+        raise InputValidationError(f"matrix file not found: {path}") from exc
     except json.JSONDecodeError as exc:
-        raise InputValidationError(f"malformed {what} JSON in {path}: {exc}") from exc
+        raise InputValidationError(f"malformed matrix JSON in {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise InputValidationError(f"{what} file is not UTF-8 text: {path}: {exc}") from exc
-
-
-def load_matrix(path: str) -> np.ndarray:
-    return matrix_from_dict(read_json(path, "matrix"))
+        raise InputValidationError(f"matrix file is not UTF-8 text: {path}: {exc}") from exc
+    return matrix_from_dict(doc)
 
 
 def save_matrix(path: str, m) -> None:

@@ -1,6 +1,10 @@
+import argparse
+import itertools
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,34 +89,27 @@ def test_gbound_exit_2_on_boolean_matrix(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("role", ["matrix", "config"])
+@pytest.mark.parametrize("role", ["matrix"])
 def test_cli_exit_2_on_file_not_utf8(tmp_path, capsys, role):
     bad = tmp_path / "latin1.json"
     bad.write_bytes('{"seed": "\u00e9"}'.encode("latin-1"))
-    path = write_matrix(tmp_path, "m.json", np.eye(2))
-    argv = (["norms", "--matrix", str(bad)] if role == "matrix"
-            else ["--config", str(bad), "norms", "--matrix", path])
-    assert dispatch(argv) == 2
+    assert dispatch(["norms", "--matrix", str(bad)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:")
-    assert "UTF-8" in captured.err
+    assert captured.err.startswith(f"error: {role} file is not UTF-8 text: {bad}: ")
 
 
 @pytest.mark.parametrize("fault, message", [
     ("missing", "error: {what} file not found: {path}\n"),
     ("malformed", "error: malformed {what} JSON in {path}: "),
 ])
-@pytest.mark.parametrize("what", ["matrix", "config"])
+@pytest.mark.parametrize("what", ["matrix"])
 def test_matrix_and_config_files_share_one_reader(tmp_path, capsys, what, fault, message):
     # the UTF-8 message is checked by test_cli_exit_2_on_file_not_utf8
     bad = tmp_path / "bad.json"
     if fault == "malformed":
         bad.write_text("{not json")
-    path = write_matrix(tmp_path, "m.json", np.eye(2))
-    argv = (["norms", "--matrix", str(bad)] if what == "matrix"
-            else ["--config", str(bad), "norms", "--matrix", path])
-    assert dispatch(argv) == 2
+    assert dispatch(["norms", "--matrix", str(bad)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(message.format(what=what, path=bad))
@@ -300,6 +297,19 @@ def test_classify_document_is_the_classification_then_its_optimizer(tmp_path, ca
     assert list(doc["optimizer"].items()) == [("starts", 3), ("seed", 5)]
 
 
+def test_cli_defaults_come_from_optimizer_config(tmp_path, capsys):
+    theta = np.random.default_rng(7).standard_normal((3, 3)) * 0.3
+    path = write_matrix(tmp_path, "theta.json", theta)
+    code, out = run_cli(capsys, ["classify", "--matrix", path])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc.pop("optimizer") == {"starts": 64, "seed": 0}
+    assert doc == json.loads(json.dumps(classify(theta, OptimizerConfig()).to_dict()))
+    code, out = run_cli(capsys, ["classify", "--matrix", path, "--seed", "2"])
+    assert code == 0
+    assert json.loads(out)["optimizer"] == {"starts": 64, "seed": 2}
+
+
 def test_experiment_h6(capsys):
     code, out = run_cli(capsys, ["experiment", "h6", "--lambda", "0.2"])
     assert code == 0
@@ -418,6 +428,38 @@ def test_rarity_dim_defaults_to_6_and_lists_samples_before_ensemble(capsys):
     assert "required: --samples, --ensemble" in capsys.readouterr().err
 
 
+def _commands(parser, words=()):
+    """(command words, parser) of every command that runs."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield words, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _commands(child, words + (name,))
+
+
+def _long_options(parser):
+    return {opt for a in parser._actions for opt in a.option_strings
+            if opt.startswith("--")} - {"--help"}
+
+
+def test_readme_usage_block_names_every_declared_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    documented = {}
+    for line in re.sub(r"\\\s*\n", " ", block).splitlines():
+        line = line.split("#")[0]
+        if not line.strip():
+            continue
+        words = line.split()
+        assert words[0] == "grothq"
+        command = tuple(itertools.takewhile(lambda w: not w.startswith(("-", "[")), words[1:]))
+        documented[command] = set(re.findall(r"--[a-z][a-z-]*", line))
+    parser = cli.build_parser()
+    top = _long_options(parser)
+    assert documented == {words: _long_options(p) | top for words, p in _commands(parser)}
+
+
 def test_help_exits_zero(capsys):
     assert dispatch(["--help"]) == 0
 
@@ -436,85 +478,6 @@ def test_convergence_failure_exit_3(tmp_path, capsys, monkeypatch):
     path = write_matrix(tmp_path, "m.json", m)
     code, _ = run_cli(capsys, ["gbound", "--matrix", path])
     assert code == 3
-
-
-def test_config_seed_and_starts(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 9, "starts": 3}))
-    path = write_matrix(tmp_path, "m.json", np.eye(2) * 0.4)
-    code, out = run_cli(capsys, ["--config", str(cfg), "classify", "--matrix", path])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["optimizer"] == {"starts": 3, "seed": 9}
-    assert doc["in_G"] == "certified_yes"
-
-
-def test_config_ignores_retired_line_search_keys(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(
-        {"tolerances": {"scan_points": 32, "line_tolerance": 1e-10, "phase_tolerance": 1e-10}}))
-    path = write_matrix(tmp_path, "m.json", np.eye(2) * 0.4)
-    code, out = run_cli(capsys, ["--config", str(cfg), "classify", "--matrix", path])
-    assert code == 0
-    assert json.loads(out)["g_lower"] == pytest.approx(0.8, abs=1e-12)
-
-
-def test_config_ignores_retired_smax_keys(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(
-        {"tolerances": {"smax_restarts": 1, "smax_max_iterations": 2}}))
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    path = write_matrix(tmp_path, "m.json", m)
-    plain = run_cli(capsys, ["gbound", "--matrix", path])
-    configured = run_cli(capsys, ["--config", str(cfg), "gbound", "--matrix", path])
-    assert plain[0] == configured[0] == 0
-    assert configured[1] == plain[1]
-
-
-def test_config_rejects_bad_tolerance(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tolerances": {"phase_tolerance": -1}}))
-    path = write_matrix(tmp_path, "m.json", np.eye(2))
-    code, _ = run_cli(capsys, ["--config", str(cfg), "norms", "--matrix", path])
-    assert code == 2
-
-
-def test_cli_seed_and_starts_override_config(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 9, "starts": 3}))
-    path = write_matrix(tmp_path, "m.json", np.eye(2) * 0.4)
-    code, out = run_cli(capsys, ["--config", str(cfg), "classify", "--matrix", path,
-                                 "--seed", "2"])
-    assert code == 0
-    assert json.loads(out)["optimizer"] == {"starts": 3, "seed": 2}
-
-
-@pytest.mark.parametrize("doc, argv", [
-    ({"seed": "abc"}, ["norms"]),
-    ({"seed": 1e30}, ["classify"]),
-    ({"starts": 2.5}, ["experiment", "rarity", "--ensemble", "random_normal",
-                       "--samples", "1"]),
-    ({"tolerances": [1, 2]}, ["classify"]),
-    ({"tolerances": {"max_iterations": True}}, ["classify"]),
-    ({"tolerances": {"phase_tolerance": float("nan")}}, ["classify"]),
-    ({"tolerances": {"max_iterations": 0}}, ["classify"]),
-    ({"tolerances": {"max_iterations": 2.7}}, ["classify"]),
-    ({"output_path": 5}, ["experiment", "rarity", "--ensemble", "random_normal",
-                          "--samples", "1"]),
-], ids=["seed_string", "seed_float", "starts_float", "tolerances_list",
-        "tolerance_boolean", "tolerance_nan", "max_iterations_zero", "max_iterations_float",
-        "output_path_int"])
-def test_config_rejects_malformed_values(tmp_path, capsys, doc, argv):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
-    path = write_matrix(tmp_path, "m.json", np.eye(2) * 0.4)
-    if argv[0] != "experiment":
-        argv = argv + ["--matrix", path]
-    assert dispatch(["--config", str(cfg)] + argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
 
 
 def test_json_output_round_trips(tmp_path, capsys):
