@@ -12,6 +12,8 @@ scalars by unit-ball vectors gives the trace form |Tr(theta V W^dagger)|,
 whose supremum can exceed g(theta) but never 1.4049 * g(theta).
 """
 
+import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from typing import Optional
@@ -171,6 +173,21 @@ class OptimizerConfig:
                                     # than 1e-3 times this, on theta scaled by pow2_normalize
 
     def __post_init__(self):
+        # stored as plain int and float, so that a run's to_dict() is JSON
+        for name in ("starts", "seed", "max_iterations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InputValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        tol = self.phase_tolerance
+        try:
+            finite = (isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+                      and math.isfinite(float(tol)))
+        except OverflowError:           # an int or a fraction past the float range
+            finite = False
+        if not finite:
+            raise InputValidationError(f"phase_tolerance must be a finite real, got {tol!r}")
+        object.__setattr__(self, "phase_tolerance", float(tol))
         if self.starts < 1:
             raise InputValidationError("starts must be >= 1")
         if self.seed < 0:
@@ -457,41 +474,58 @@ def phase_system_solvable(theta) -> PhaseSystemReport:
 
     On the support graph (vertices: rows i and columns d + j; edges: nonzero
     entries) a BFS spanning forest sets each root to 0 and each child to
-    arg theta_ij - value(parent), with principal arguments in (-pi, pi].  The
-    system is solvable iff every edge then closes modulo 2 pi within ``PHASE_TOL``
-    radians; then g(theta) = ||theta||_1, with the forest values as witness.
+    arg theta_ij - value(parent), with principal arguments in [-pi, pi] (an
+    entry with negative real part and imaginary part -0.0 has argument -pi).
+    The system is solvable iff every edge then closes modulo 2 pi within
+    ``PHASE_TOL`` radians; then g(theta) = ||theta||_1, with the forest values
+    as witness.  NumPy reads the support once (one ``np.nonzero``, then one
+    ``np.angle``, i.e. ``arctan2(imag, real)``, of the nonzero entries); the
+    rest is O(d + nnz) Python on scalars: the BFS stops once every
+    non-isolated vertex has a value, and the edge check stops at the first
+    edge that does not close.
     """
     a = require_square(theta)
     d = a.shape[0]
     rows, cols = np.nonzero(a)
-    phi = np.angle(a[rows, cols])
+    edges = list(zip(rows.tolist(), (cols + d).tolist(), np.angle(a[rows, cols]).tolist()))
     adj = [[] for _ in range(2 * d)]
-    for i, j, p in zip(rows.tolist(), (cols + d).tolist(), phi.tolist()):
+    for i, j, p in edges:
         adj[i].append((j, p))
         adj[j].append((i, p))
 
     value = [None] * (2 * d)
+    vertices = left = sum(map(bool, adj))   # non-isolated; left: those without a value
     components = 0
     for root in range(2 * d):
+        if not left:
+            break
         if value[root] is not None or not adj[root]:
             continue
         components += 1
         value[root] = 0.0
+        left -= 1
         queue = [root]
         for u in queue:               # the queue grows while it is walked
+            if not left:
+                break
+            x = value[u]
             for v, p in adj[u]:
                 if value[v] is None:
-                    value[v] = p - value[u]
+                    value[v] = p - x
+                    left -= 1
                     queue.append(v)
 
-    rank = sum(map(bool, adj)) - components
-    forest = np.array([0.0 if x is None else x for x in value])
-    gap = forest[rows] + forest[cols + d] - phi
-    if np.any(np.abs(gap - 2.0 * np.pi * np.round(gap / (2.0 * np.pi))) > PHASE_TOL):
-        return PhaseSystemReport(False, rows.size, rank, rank + 1)
-    return PhaseSystemReport(True, rows.size, rank, rank,
-                             chi=forest[:d].tolist(), psi=forest[d:].tolist(),
-                             used_shift_enumeration=bool(np.any(np.abs(gap) > PHASE_TOL)))
+    rank = vertices - components
+    two_pi = 2.0 * np.pi
+    shifted = False
+    for i, j, p in edges:
+        gap = (value[i] + value[j]) - p
+        if abs(gap - two_pi * round(gap / two_pi)) > PHASE_TOL:
+            return PhaseSystemReport(False, len(edges), rank, rank + 1)
+        shifted = shifted or abs(gap) > PHASE_TOL
+    forest = [0.0 if x is None else x for x in value]
+    return PhaseSystemReport(True, len(edges), rank, rank, chi=forest[:d], psi=forest[d:],
+                             used_shift_enumeration=shifted)
 
 
 @dataclass

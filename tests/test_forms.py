@@ -302,6 +302,24 @@ def test_optimizer_config_rejects_out_of_range(field, value):
         OptimizerConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("starts", True), ("starts", 2.0), ("seed", 1.5), ("seed", None), ("seed", "3"),
+    ("max_iterations", 2.5), ("phase_tolerance", float("nan")),
+    ("phase_tolerance", float("inf")),
+    pytest.param("phase_tolerance", 10**400, id="phase_tolerance-int-past-float-range"),
+    ("phase_tolerance", "1e-10"), ("phase_tolerance", True)])
+def test_optimizer_config_rejects_wrong_types(field, value):
+    with pytest.raises(InputValidationError, match=field):
+        OptimizerConfig(**{field: value})
+
+
+def test_optimizer_config_stores_plain_numbers():
+    cfg = OptimizerConfig(starts=np.int64(2), seed=np.int64(3), max_iterations=np.int32(5),
+                          phase_tolerance=np.float32(1e-10))
+    assert [type(v) for v in dataclasses.astuple(cfg)] == [int, int, int, float]
+    json.dumps(g_lower(np.eye(2), cfg).to_dict())
+
+
 def test_optimizer_run_carries_its_config():
     cfg = OptimizerConfig(starts=2, seed=3)
     for theta in (np.eye(2), np.zeros((2, 2))):
@@ -597,9 +615,10 @@ def test_classify_bracket_orders():
 
 
 def test_classify_and_max_q_lower_reach_the_traced_layers(monkeypatch):
-    # perfbench's per-layer figures time g_lower and largest_singular_value
-    # through forms' module attributes; each call must go through them
-    calls = {"g_lower": 0, "largest_singular_value": 0}
+    # perfbench's per-layer figures time g_lower, largest_singular_value and
+    # phase_system_solvable through forms' module attributes; each call must
+    # go through them
+    calls = {"g_lower": 0, "largest_singular_value": 0, "phase_system_solvable": 0}
 
     def counted(name):
         inner = getattr(forms, name)
@@ -613,9 +632,9 @@ def test_classify_and_max_q_lower_reach_the_traced_layers(monkeypatch):
         monkeypatch.setattr(forms, name, counted(name))
     theta = complex_gaussian(np.random.default_rng(5), 3)
     classify(theta, SMALL)
-    assert calls == {"g_lower": 1, "largest_singular_value": 1}
+    assert calls == {"g_lower": 1, "largest_singular_value": 1, "phase_system_solvable": 1}
     max_q_lower(theta, SMALL)
-    assert calls == {"g_lower": 2, "largest_singular_value": 1}
+    assert calls == {"g_lower": 2, "largest_singular_value": 1, "phase_system_solvable": 2}
 
 
 def test_classify_at_the_top_of_the_float_range():

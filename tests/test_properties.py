@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from grothq import (
     OptimizerConfig,
+    PhaseSystemReport,
     PolydiscTuple,
     eval_C,
     eval_Q_trace,
@@ -24,7 +25,8 @@ from grothq import (
     row_norms,
 )
 from grothq.experiments import _h6_norm_sq, _h6_phase_ascent
-from grothq.forms import G_PRIME_TOL, classify, closed_form_bounds, g_prime, unit_set_verdicts
+from grothq.forms import (
+    G_PRIME_TOL, PHASE_TOL, classify, closed_form_bounds, g_prime, unit_set_verdicts)
 from grothq.linalg import pow2_normalize, pow2_split
 
 # derandomized so that every run of the suite checks the same examples
@@ -451,6 +453,124 @@ def test_phase_ranks_match_matrix_rank(theta):
         rhs = np.angle(theta[np.nonzero(theta)])
         assert report.rank_augmented == report.rank_coefficient + 1
         assert np.linalg.matrix_rank(np.column_stack([coeff, rhs])) == rank + 1
+
+
+def reference_phase_report(theta):
+    """``phase_system_solvable(theta).to_dict()`` from a full BFS and a
+    vectorized edge check: the reference that the scalar implementation must
+    match bit for bit."""
+    a = np.asarray(theta, dtype=complex)
+    d = a.shape[0]
+    rows, cols = np.nonzero(a)
+    phi = np.angle(a[rows, cols])
+    adj = [[] for _ in range(2 * d)]
+    for i, j, p in zip(rows.tolist(), (cols + d).tolist(), phi.tolist()):
+        adj[i].append((j, p))
+        adj[j].append((i, p))
+
+    value = [None] * (2 * d)
+    components = 0
+    for root in range(2 * d):
+        if value[root] is not None or not adj[root]:
+            continue
+        components += 1
+        value[root] = 0.0
+        queue = [root]
+        for u in queue:
+            for v, p in adj[u]:
+                if value[v] is None:
+                    value[v] = p - value[u]
+                    queue.append(v)
+
+    rank = sum(map(bool, adj)) - components
+    forest = np.array([0.0 if x is None else x for x in value])
+    gap = forest[rows] + forest[cols + d] - phi
+    if np.any(np.abs(gap - 2.0 * np.pi * np.round(gap / (2.0 * np.pi))) > PHASE_TOL):
+        return PhaseSystemReport(False, rows.size, rank, rank + 1).to_dict()
+    return PhaseSystemReport(True, rows.size, rank, rank,
+                             chi=forest[:d].tolist(), psi=forest[d:].tolist(),
+                             used_shift_enumeration=bool(np.any(np.abs(gap) > PHASE_TOL))
+                             ).to_dict()
+
+
+def assert_phase_report_matches_reference(theta):
+    report, reference = phase_system_solvable(theta).to_dict(), reference_phase_report(theta)
+    assert report == reference
+    assert repr(report) == repr(reference)          # signed zeros as well
+
+
+@st.composite
+def phase_reference_inputs(draw):
+    """d = 1..12: a support of any density, or diagonal blocks with isolated
+    rows and columns between them.  Phases split as chi_i + psi_j, or
+    independent, some of either within 1e-12 of +-pi and some entries negative
+    reals with imaginary part -0.0; or real entries with split signs, whose
+    zero imaginary parts carry either sign."""
+    d = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        mask = rng.random((d, d)) < draw(st.floats(0.05, 1.0))
+    else:
+        mask = np.zeros((d, d), dtype=bool)
+        start = draw(st.integers(0, 2))
+        while start < d:
+            size = draw(st.integers(1, 3))
+            mask[start:start + size, start:start + size] = True
+            start += size + draw(st.integers(1, 2))
+    moduli = mask * draw(arrays(float, (d, d), elements=st.floats(1e-3, 10.0)))
+    kind = draw(st.sampled_from(["split", "independent", "signs"]))
+    if kind == "signs":
+        u, v = draw(arrays(bool, d)), draw(arrays(bool, d))
+        theta = np.where(u[:, None] ^ v[None, :], -moduli, moduli).astype(complex)
+        theta.imag = np.where(draw(arrays(bool, (d, d))), -0.0, 0.0)
+        return theta
+    if kind == "split":
+        chi = draw(arrays(float, d, elements=angles))
+        psi = draw(arrays(float, d, elements=angles))
+        phases = chi[:, None] + psi[None, :]
+    else:
+        phases = draw(arrays(float, (d, d), elements=angles))
+    offsets = draw(arrays(float, (d, d), elements=st.floats(-1e-12, 1e-12)))
+    near_pi = np.where(offsets >= 0, np.pi - offsets, -np.pi - offsets)
+    theta = moduli * np.exp(1j * np.where(draw(arrays(bool, (d, d))), near_pi, phases))
+    negative = mask & draw(arrays(bool, (d, d)))
+    theta.real[negative] = -moduli[negative]
+    theta.imag[negative] = -0.0
+    return theta
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(phase_reference_inputs())
+def test_phase_report_matches_the_vectorized_reference(theta):
+    assert_phase_report_matches_reference(theta)
+
+
+def test_phase_report_of_a_dense_rank_one_support():
+    # solvable, so every one of the 256 edges is checked
+    rng = np.random.default_rng(16)
+    u, v = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
+    theta = np.outer(u, v)
+    report = phase_system_solvable(theta)
+    assert report.solvable and report.n_equations == 256
+    assert_phase_report_matches_reference(theta)
+
+
+def test_phase_report_of_a_dense_unsolvable_matrix():
+    # the check stops at the first non-tree edge that does not close
+    rng = np.random.default_rng(8)
+    theta = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    assert not phase_system_solvable(theta).solvable
+    assert_phase_report_matches_reference(theta)
+
+
+def test_phase_report_counts_a_last_component_after_isolated_vertices():
+    # component {r0, c0, c1}, rows 1..4 and columns 2..4 isolated, then the
+    # single edge (r5, c5): 5 vertices in 2 components
+    theta = np.zeros((6, 6), dtype=complex)
+    theta[0, 0], theta[0, 1], theta[5, 5] = -1.0, 1j, np.exp(2j)
+    report = phase_system_solvable(theta)
+    assert report.solvable and report.rank_coefficient == 3
+    assert_phase_report_matches_reference(theta)
 
 
 # points of the closed unit polydisc in C^6, a few per example
