@@ -29,7 +29,7 @@ from .forms import (
     max_q_lower,
     unit_set_verdicts,
 )
-from .linalg import InputValidationError
+from .linalg import InputValidationError, require_int, require_real
 from .states import build_family, build_projector, torus_witness
 
 __all__ = [
@@ -84,6 +84,7 @@ def _projector_for(d: int) -> np.ndarray:
 
 
 def _run_projector_experiment(name: str, d: int, lam: float) -> ExperimentRecord:
+    lam = require_real(lam, "lambda")
     dim_big = d * (d - 1)
     _, witness_value = torus_witness(d)
     lam_max = 0.2 if d == 3 else 1.0 / witness_value
@@ -219,9 +220,9 @@ def certify_g6(starts: int, seed: int) -> G6Certificate:
     cfg = OptimizerConfig(starts=starts, seed=seed)
     general = g_lower(_projector_for(3), cfg)
 
-    t0 = np.empty((starts, 6), dtype=complex)
-    for i in range(starts):
-        rng = np.random.default_rng(seed ^ i)
+    t0 = np.empty((cfg.starts, 6), dtype=complex)
+    for i in range(cfg.starts):
+        rng = np.random.default_rng(cfg.seed ^ i)
         t0[i] = rng.uniform(0, 1, 6) * np.exp(1j * rng.uniform(-np.pi, np.pi, 6))
     best = float(_h6_phase_ascent(t0)[1].max())
 
@@ -236,8 +237,8 @@ def certify_g6(starts: int, seed: int) -> G6Certificate:
     flipped = ones.copy()
     flipped[5] = -1.0
     return G6Certificate(
-        starts=starts,
-        seed=seed,
+        starts=cfg.starts,
+        seed=cfg.seed,
         general_value=general.best_value,
         specialized_value=specialized_value,
         specialized_norm_sq_max=best,
@@ -256,7 +257,8 @@ def displacement_operator(d: int, a: int, b: int) -> np.ndarray:
     diagonal of omega powers, and 2^{-1} the inverse of 2 modulo d.  Unitary
     for all (a, b).
     """
-    if d < 2 or d % 2 == 0:
+    d = require_int(d, "dimension", 2)
+    if d % 2 == 0:
         raise InputValidationError(f"displacement operators need odd d, got {d}")
     inv2 = pow(2, -1, d)
     omega = np.exp(2j * np.pi / d)
@@ -275,12 +277,9 @@ def run_bounded_demo(d: int, samples: int, seed: int) -> ExperimentRecord:
     For odd d the unitaries additionally include the full displacement grid,
     covering phase-space (Weyl-type) evaluations.
     """
-    if d < 2:
-        raise InputValidationError(f"dimension must be >= 2, got {d}")
-    if samples < 1:
-        raise InputValidationError(f"samples must be >= 1, got {samples}")
-    if seed < 0:
-        raise InputValidationError("seed must be a non-negative integer")
+    d = require_int(d, "dimension", 2)
+    samples = require_int(samples, "samples", 1)
+    seed = require_int(seed, "seed", 0)
     max_trace = 0.0
     rrr_min = math.inf
     for i in range(samples):
@@ -364,17 +363,15 @@ def run_rarity(ensemble: str, samples: int, seed: int, starts: int,
     receiving dicts).  Everything derives from (seed, index), so reruns are
     byte-identical.
     """
-    if samples < 1:
-        raise InputValidationError(f"samples must be >= 1, got {samples}")
+    samples = require_int(samples, "samples", 1)
     base_cfg = OptimizerConfig(starts, seed, max_iterations=300)
-    if dim < 2:
-        raise InputValidationError(f"dimension must be >= 2, got {dim}")
+    dim = require_int(dim, "dimension", 2)
     count = 0
     max_q = 0.0
     for i in range(samples):
-        theta, fields, bracket = _rarity_sample(ensemble, dim, seed, i)
+        theta, fields, bracket = _rarity_sample(ensemble, dim, base_cfg.seed, i)
         in_g_prime, in_g = unit_set_verdicts(*bracket)
-        opt_seed = seed ^ ((i + 1) << 20)
+        opt_seed = base_cfg.seed ^ ((i + 1) << 20)
         q_run = max_q_lower(theta, replace(base_cfg, seed=opt_seed))
         q = q_run.best_value
         region = kg_region_check(q)
@@ -388,7 +385,7 @@ def run_rarity(ensemble: str, samples: int, seed: int, starts: int,
             "region": region,
             "in_G_prime": in_g_prime,
             "optimizer_seed": opt_seed,
-            "optimizer_starts": starts,
+            "optimizer_starts": base_cfg.starts,
         }
         if sink is not None:
             sink(record)
@@ -401,7 +398,7 @@ def run_rarity(ensemble: str, samples: int, seed: int, starts: int,
         count_in_region=count,
         fraction=count / samples,
         max_q_seen=max_q,
-        seed=seed,
-        starts=starts,
+        seed=base_cfg.seed,
+        starts=base_cfg.starts,
         dim=dim,
     )

@@ -12,8 +12,6 @@ scalars by unit-ball vectors gives the trace form |Tr(theta V W^dagger)|,
 whose supremum can exceed g(theta) but never 1.4049 * g(theta).
 """
 
-import math
-import numbers
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from typing import Optional
@@ -27,6 +25,8 @@ from .linalg import (
     pow2_normalize,
     pow2_scale,
     pow2_split,
+    require_int,
+    require_real,
     require_square,
 )
 from .matrix_io import complex_pairs
@@ -174,28 +174,12 @@ class OptimizerConfig:
 
     def __post_init__(self):
         # stored as plain int and float, so that a run's to_dict() is JSON
-        for name in ("starts", "seed", "max_iterations"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InputValidationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        tol = self.phase_tolerance
-        try:
-            finite = (isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-                      and math.isfinite(float(tol)))
-        except OverflowError:           # an int or a fraction past the float range
-            finite = False
-        if not finite:
-            raise InputValidationError(f"phase_tolerance must be a finite real, got {tol!r}")
-        object.__setattr__(self, "phase_tolerance", float(tol))
-        if self.starts < 1:
-            raise InputValidationError("starts must be >= 1")
-        if self.seed < 0:
-            raise InputValidationError("seed must be a non-negative integer")
-        if self.max_iterations < 1:
-            raise InputValidationError("max_iterations must be >= 1")
-        if self.phase_tolerance <= 0:
+        for name, minimum in (("starts", 1), ("seed", 0), ("max_iterations", 1)):
+            object.__setattr__(self, name, require_int(getattr(self, name), name, minimum))
+        tol = require_real(self.phase_tolerance, "phase_tolerance")
+        if tol <= 0:
             raise InputValidationError("phase_tolerance must be positive")
+        object.__setattr__(self, "phase_tolerance", tol)
 
 
 @dataclass
@@ -627,7 +611,8 @@ REGION_TOL = 1e-9
 
 def kg_region_check(q: float) -> str:
     """Place a trace-form value: [0,1] classical, (1, 1.4049] the bound window."""
-    if not np.isfinite(q) or q < 0:
+    q = require_real(q, "q")
+    if q < 0:
         raise InputValidationError(f"q must be a finite non-negative real, got {q}")
     if q <= 1.0 + REGION_TOL:
         return "classical"

@@ -5,6 +5,8 @@ copied into complex128 arrays, and never mutated in place, so values can be
 shared freely across threads.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +52,32 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def require_int(value, name, minimum) -> int:
+    """``value`` as a Python int: an integer of any type (NumPy's included)
+    but not a bool, and at least ``minimum``.  The one check of every integer
+    parameter in grothq."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InputValidationError(f"{name} must be a non-negative integer" if minimum == 0
+                                   else f"{name} must be >= {minimum}")
+    return int(value)
+
+
+def require_real(value, name) -> float:
+    """``value`` as a Python float: a real of any type (NumPy's included) but
+    not a bool, finite as a float.  The one check of every real parameter in
+    grothq."""
+    try:
+        finite = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                  and math.isfinite(float(value)))
+    except OverflowError:           # an int or a fraction past the float range
+        finite = False
+    if not finite:
+        raise InputValidationError(f"{name} must be a finite real, got {value!r}")
+    return float(value)
+
+
 def require_square(m) -> np.ndarray:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
@@ -88,13 +116,18 @@ def pow2_split(a: np.ndarray, axis=None):
     Scaling by a power of two is exact (scaling down rounds only the parts
     more than 2^1021 times below their slice's largest modulus), so a
     computation can run on the scaled slices, free of underflow and
-    overflow, and scale its result back with ``pow2_scale(x, e)``.  This is
-    the one place in grothq that picks such a scale.
+    overflow, and scale its result back with ``pow2_scale(x, e)``.  The real
+    and imaginary parts are scaled each on its own, so a zero part keeps its
+    sign (and -1 - 0j its argument -pi).  This is the one place in grothq that
+    picks such a scale.
     """
     _, e = np.frexp(np.abs(a).max(axis=axis, keepdims=True))
     if np.iscomplexobj(a):
-        # ldexp on the real parts: complex division by a subnormal 2^e overflows
-        b = np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)
+        # ldexp on each part, written into b's: complex division by a subnormal
+        # 2^e overflows, and x + 1j * y would turn a -0.0 part into +0.0
+        b = np.empty_like(a)
+        np.ldexp(a.real, -e, out=b.real)
+        np.ldexp(a.imag, -e, out=b.imag)
     else:
         b = np.ldexp(a, -e)
     if np.minimum.reduce(e, axis=None, initial=0) <= _SUBNORMAL_EXP:
@@ -191,15 +224,14 @@ def is_normal(m) -> bool:
 
 def fourier_matrix(d: int) -> np.ndarray:
     """The d x d Fourier matrix F_jk = omega^(jk) / sqrt(d), omega = exp(2 pi i / d)."""
-    if d < 1:
-        raise InputValidationError(f"dimension must be >= 1, got {d}")
+    d = require_int(d, "dimension", 1)
     j = np.arange(d)
     return np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
 
 
 def permutation_matrix(pi) -> np.ndarray:
     """Matrix with entries tau[i, j] = 1 iff j = pi(i), for a bijection pi of {0..n-1}."""
-    pi = list(pi)
+    pi = [require_int(x, "permutation entry", 0) for x in pi]
     n = len(pi)
     if n < 1 or sorted(pi) != list(range(n)):
         raise InputValidationError(f"not a permutation of 0..{n - 1}: {pi}")

@@ -11,18 +11,14 @@ import sys
 
 import numpy as np
 
-from .linalg import InputValidationError, as_matrix
+from .linalg import InputValidationError, as_matrix, require_int
 
 __all__ = ["matrix_to_dict", "matrix_from_dict", "load_matrix", "save_matrix"]
 
 
-def is_json_int(x) -> bool:
-    """A JSON integer: bool subclasses int in Python but is not a JSON number."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def is_json_number(x) -> bool:
-    return is_json_int(x) or isinstance(x, float)
+    """An int or a float: bool subclasses int in Python but is not a JSON number."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def is_finite_number(x) -> bool:
@@ -48,9 +44,8 @@ def matrix_from_dict(doc) -> np.ndarray:
     for key in ("rows", "cols", "entries"):
         if key not in doc:
             raise InputValidationError(f"matrix document missing key '{key}'")
-    rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
-    if not is_json_int(rows) or not is_json_int(cols) or rows < 1 or cols < 1:
-        raise InputValidationError("'rows' and 'cols' must be positive integers")
+    rows, cols = require_int(doc["rows"], "rows", 1), require_int(doc["cols"], "cols", 1)
+    entries = doc["entries"]
     if not isinstance(entries, list) or len(entries) != rows * cols:
         got = len(entries) if isinstance(entries, list) else "non-list"
         raise InputValidationError(

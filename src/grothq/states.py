@@ -19,6 +19,7 @@ from .linalg import (
     InputValidationError,
     eigenvalue_multiplicities,
     hermitian_eig,
+    require_int,
 )
 from .matrix_io import complex_pairs
 
@@ -59,8 +60,7 @@ def build_family(d: int) -> StateFamily:
     so the j-th component of state (b, k) is omega^(k * ((j - p - 1) mod d))
     with omega = exp(2 pi i / (d-1)).
     """
-    if d < 2:
-        raise InputValidationError(f"dimension must be >= 2, got {d}")
+    d = require_int(d, "dimension", 2)
     n = d * (d - 1)
     states = np.zeros((n, d), dtype=complex)
     recipe = []
@@ -101,6 +101,8 @@ def _overlap_matrix(family: StateFamily) -> np.ndarray:
 
 # entrywise slack of the isotropy and permutation checks
 FAMILY_TOL = 1e-10
+# largest dimension the permutation check enumerates (d! permutations)
+PERMUTATION_MAX_DIM = 6
 
 
 def isotropy_check(family: StateFamily):
@@ -116,12 +118,12 @@ def permutation_invariance_check(family: StateFamily):
 
     Returns (ok, mapping) where mapping[(pi, i)] = (j, phase) whenever the
     permuted state pi . a_i equals phase * a_j.  Exhaustive over the symmetric
-    group, so the dimension is capped at 6.
+    group, so the dimension is capped at ``PERMUTATION_MAX_DIM``.
     """
     d = family.dim
-    if d > 6:
+    if d > PERMUTATION_MAX_DIM:
         raise InputValidationError(
-            f"permutation check enumerates d! permutations; d = {d} > 6")
+            f"permutation check enumerates d! permutations; d = {d} > {PERMUTATION_MAX_DIM}")
     states = family.states
     mapping = {}
     ok = True
@@ -143,10 +145,10 @@ def permutation_invariance_check(family: StateFamily):
 
 def overlap_power_sum(family: StateFamily, i: int, r: int) -> float:
     """sum_j |<a_i|a_j>|^r; independent of i for isotropic families."""
-    if not 0 <= i < family.count:
+    i = require_int(i, "state index", 0)
+    if i >= family.count:
         raise InputValidationError(f"state index {i} out of range")
-    if r < 1:
-        raise InputValidationError(f"power must be a positive integer, got {r}")
+    r = require_int(r, "power", 1)
     overlaps = family.states[i].conj() @ family.states.T
     return float((np.abs(overlaps) ** r).sum())
 

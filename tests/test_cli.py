@@ -266,6 +266,42 @@ def test_states_subcommand(capsys):
     assert doc["overlap_power_sums"]["2"] == pytest.approx(3.0, abs=1e-9)
 
 
+def test_states_skips_the_permutation_check_past_its_cap(capsys):
+    d = states.PERMUTATION_MAX_DIM + 1
+    code, out = run_cli(capsys, ["states", "--dim", str(d), "--check", "permutation"])
+    assert code == 0
+    assert json.loads(out)["permutation_invariance"] == {"skipped": "dim > 6"}
+    with pytest.raises(InputValidationError, match="d = 7 > 6"):
+        states.permutation_invariance_check(build_family(d))
+
+
+def test_classify_exit_2_on_a_non_square_matrix(tmp_path, capsys):
+    path = write_matrix(tmp_path, "wide.json", np.ones((2, 3)))
+    assert dispatch(["classify", "--matrix", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected a square matrix, got shape (2, 3)\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["states", "--dim", "1"], "dimension must be >= 2"),
+    (["projector", "--dim", "1", "--out", "pi.json"], "dimension must be >= 2"),
+    (["experiment", "bounded", "--dim", "1", "--samples", "2"], "dimension must be >= 2"),
+    (["experiment", "bounded", "--dim", "3", "--samples", "0"], "samples must be >= 1"),
+    (["experiment", "rarity", "--ensemble", "random_normal", "--samples", "0"],
+     "samples must be >= 1"),
+    (["experiment", "rarity", "--ensemble", "random_normal", "--samples", "1", "--dim", "1"],
+     "dimension must be >= 2"),
+], ids=["states", "projector", "bounded_dim", "bounded_samples", "rarity_samples", "rarity_dim"])
+def test_cli_exit_2_on_a_dimension_or_sample_count_out_of_range(
+        tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not (tmp_path / "pi.json").exists()
+
+
 @pytest.mark.parametrize("argv, keys", [
     (["gbound", "--matrix", "theta.json"],
      ["dim", "l1_norm", "s_max", "g_prime", "g_upper"]),

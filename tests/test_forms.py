@@ -34,6 +34,7 @@ from grothq.ensembles import (
     random_projector,
     random_unitary,
 )
+from grothq.linalg import pow2_normalize
 
 
 def pi(d):
@@ -462,6 +463,16 @@ def test_phase_system_zero_rows_and_columns():
     assert phase_system_solvable(np.zeros((3, 3))).to_dict() == {
         "solvable": True, "n_equations": 0, "rank_coefficient": 0, "rank_augmented": 0,
         "chi": [0.0] * 3, "psi": [0.0] * 3, "used_shift_enumeration": False}
+
+
+def test_phase_system_reads_the_same_phases_after_pow2_normalize():
+    # -1 - 0j has argument -pi; g_lower passes the pow2_normalized theta on,
+    # whose entries must keep the sign of their zero parts
+    m = complex(-1.0, -0.0)
+    theta = np.array([[m, 1.0], [1.0, m]])
+    report = phase_system_solvable(theta)
+    assert report.chi == [0.0, np.pi] and report.psi == [-np.pi, 0.0]
+    assert phase_system_solvable(pow2_normalize(theta)[0]).to_dict() == report.to_dict()
 
 
 # --- vector-form maximization ---

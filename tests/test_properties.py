@@ -311,6 +311,7 @@ def test_pow2_split_scales_each_slice_exactly(a_axis):
         exact = (e <= 0) | (part_a == 0) | (np.abs(part_b) >= TINY)
         assert np.array_equal(part_back[exact], part_a[exact])
         assert np.all(np.abs(part_back - part_a) <= np.ldexp(1.0, e - 1075))
+        assert np.array_equal(np.signbit(part_b), np.signbit(part_a))
     top_b = np.abs(b).max(axis=axis, keepdims=True)
     assert np.all(e[top_a == 0] == 0)
     checked = top_a > 0
