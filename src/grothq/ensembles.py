@@ -6,6 +6,8 @@ seeding policy; identical generators give identical samples.
 
 import numpy as np
 
+from .linalg import InputValidationError, require_int
+
 __all__ = [
     "complex_gaussian",
     "random_unitary",
@@ -56,7 +58,8 @@ def random_hermitian(rng, d: int) -> np.ndarray:
 
 def random_projector(rng, d: int, rank: int) -> np.ndarray:
     """Random rank-r orthogonal projector U_r U_r^dagger."""
-    if not 1 <= rank <= d:
-        raise ValueError(f"rank must be in 1..{d}, got {rank}")
+    rank = require_int(rank, "rank", 1)
+    if rank > d:
+        raise InputValidationError(f"rank must be in 1..{d}, got {rank}")
     u = random_unitary(rng, d)[:, :rank]
     return u @ u.conj().T

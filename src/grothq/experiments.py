@@ -260,6 +260,8 @@ def displacement_operator(d: int, a: int, b: int) -> np.ndarray:
     d = require_int(d, "dimension", 2)
     if d % 2 == 0:
         raise InputValidationError(f"displacement operators need odd d, got {d}")
+    a = require_int(a, "a", -math.inf)       # any integer: a and b are taken mod d
+    b = require_int(b, "b", -math.inf)
     inv2 = pow(2, -1, d)
     omega = np.exp(2j * np.pi / d)
     phase = omega ** ((-inv2 * a * b) % d)
@@ -347,8 +349,6 @@ def _rarity_sample(ensemble: str, dim: int, seed: int, index: int):
             f"unknown ensemble {ensemble!r}; choose from {RARITY_ENSEMBLES}")
     bounds = closed_form_bounds(m)
     gp, scale = bounds["g_prime"], bounds["g_upper"]    # g(m / scale) <= 1
-    if scale == 0.0:
-        return np.zeros_like(m), {**fields, "scale": 0.0}, (0.0, 0.0, 0.0)
     return m / scale, {**fields, "scale": 1.0 / scale}, (0.0, 1.0, gp / scale)
 
 

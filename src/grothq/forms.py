@@ -30,7 +30,7 @@ from .linalg import (
     require_square,
 )
 from .matrix_io import complex_pairs
-from .norms import row_norms
+from .norms import UNIT_SET_TOL
 
 __all__ = [
     "K_G_UPPER",
@@ -58,24 +58,30 @@ K_G_UPPER = 1.4049
 
 _SMALL = np.sqrt(np.finfo(float).tiny)   # below it, squared moduli underflow
 _PHASE_CACHE_SIZE = 32                   # (seed, starts, d) start sets kept by _seeded_phases
-TUPLE_TOL = 1e-12                        # rounding slack of the tuple constraints
+
+
+@np.errstate(over="ignore")
+def _check_rows_in_ball(rows: np.ndarray, name: str):
+    """Raise unless every row of a 2-D array lies in the closed unit ball, to
+    ``UNIT_SET_TOL``.  A NaN norm fails the comparison; a norm that overflows
+    belongs to a row outside the ball, and one that underflows to a row inside."""
+    worst = np.linalg.norm(rows, axis=1).max(initial=0.0)
+    if not worst <= 1.0 + UNIT_SET_TOL:
+        raise InputValidationError(f"{name} leaves the unit ball: max norm {worst}")
 
 
 @dataclass
 class PolydiscTuple:
-    """A d-tuple of complex scalars in the unit polydisc."""
+    """A d-tuple of complex scalars in the unit polydisc, checked when made."""
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex).ravel()
         if not np.all(np.isfinite(self.values.real) & np.isfinite(self.values.imag)):
             raise InputValidationError("tuple contains non-finite values")
-
-    def validate(self):
         worst = float(np.abs(self.values).max(initial=0.0))
-        if worst > 1.0 + TUPLE_TOL:
+        if worst > 1.0 + UNIT_SET_TOL:
             raise InputValidationError(f"unit-disc tuple has modulus {worst} > 1")
-        return self
 
     def to_list(self):
         return complex_pairs(self.values)
@@ -83,51 +89,43 @@ class PolydiscTuple:
 
 @dataclass
 class VectorTuple:
-    """d unit-ball vectors stored as scale * unit-vector rows."""
-    unit_vectors: np.ndarray   # (d, d), rows of unit (or zero) norm
-    scales: np.ndarray         # (d,), each in [0, 1]
+    """Vectors in the unit ball, one per row of a 2-D array, checked when made."""
+    vectors: np.ndarray
 
-    def validate(self):
-        norms = np.linalg.norm(self.scaled(), axis=1)
-        if norms.max(initial=0.0) > 1.0 + TUPLE_TOL:
+    def __post_init__(self):
+        self.vectors = np.asarray(self.vectors, dtype=complex)
+        if self.vectors.ndim != 2:
             raise InputValidationError(
-                f"vector tuple leaves the unit ball: max norm {norms.max()}")
-        return self
-
-    def scaled(self) -> np.ndarray:
-        return self.scales[:, None] * self.unit_vectors
+                f"expected one vector per row, got shape {self.vectors.shape}")
+        _check_rows_in_ball(self.vectors, "vector tuple")
 
     def to_list(self):
         """JSON form, named as ``PolydiscTuple.to_list`` so that a witness
         pair of either kind serializes the same way."""
-        return {"scales": [float(x) for x in self.scales],
-                "unit_vectors": complex_pairs(self.unit_vectors)}
+        return complex_pairs(self.vectors)
 
 
 def eval_C(theta, s: PolydiscTuple, t: PolydiscTuple) -> float:
-    """Classical form |sum_ij theta_ij s_i t_j|; both tuples are re-validated."""
+    """Classical form |sum_ij theta_ij s_i t_j|."""
     a = as_matrix(theta)
     if s.values.size != a.shape[0] or t.values.size != a.shape[1]:
         raise InputValidationError(
             f"tuple lengths {s.values.size}, {t.values.size} do not match "
             f"matrix shape {a.shape}")
-    s.validate()
-    t.validate()
     return float(abs(np.dot(s.values, a @ t.values)))
 
 
 def eval_Q_trace(theta, v, w) -> float:
     """Trace form |Tr(theta V W^dagger)| for three d x d matrices, the rows
-    of V and W in the unit ball (to ``TUPLE_TOL``, as ``VectorTuple``)."""
+    of V and W in the unit ball (checked as ``VectorTuple`` checks its rows)."""
     a = require_square(theta)
     vm = require_square(v)
     wm = require_square(w)
     if not (a.shape == vm.shape == wm.shape):
         raise InputValidationError(
             f"dimension mismatch: {a.shape}, {vm.shape}, {wm.shape}")
-    worst = max(row_norms(vm).max(), row_norms(wm).max())
-    if worst > 1.0 + TUPLE_TOL:
-        raise InputValidationError(f"a row of V or W leaves the unit ball: max norm {worst}")
+    _check_rows_in_ball(vm, "a row of V")
+    _check_rows_in_ball(wm, "a row of W")
     return float(abs(np.trace(a @ vm @ wm.conj().T)))
 
 
@@ -197,7 +195,11 @@ class OptimizerRun:
     four rows: its value is the best of theirs, it has used the most rounds
     of any of them, and it has settled when all four have.  ``stop_reason``:
     "tolerance" (every start settled), "budget" (the cap cut at least one)
-    or "zero_matrix".
+    or "zero_matrix".  ``best_witness``: the pair (s, t) that attains
+    ``best_value``, two ``PolydiscTuple``s from ``g_lower`` and two
+    ``VectorTuple``s from ``max_q_lower``, each checked to lie in its set
+    when it was made; for the zero matrix, all-ones tuples from ``g_lower``
+    and all-zero rows from ``max_q_lower``.
     """
     config: OptimizerConfig
     best_value: float
@@ -349,7 +351,7 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
     d = a.shape[0]
     n = cfg.starts
     if not np.any(a):
-        ones = PolydiscTuple(np.ones(d)).validate()
+        ones = PolydiscTuple(np.ones(d))
         return _zero_matrix_run(cfg, n, (ones, ones))
 
     b, k = pow2_normalize(a)
@@ -374,7 +376,7 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
     r_best = b @ t_best
     s_best = np.ones(d, dtype=complex)
     _unit_scalars(r_best.conj(), s_best)
-    witness = (PolydiscTuple(s_best).validate(), PolydiscTuple(t_best).validate())
+    witness = (PolydiscTuple(s_best), PolydiscTuple(t_best))
     return _finish(cfg, n, np.abs(r_best).sum(), witness, k, q, used, cut)
 
 
@@ -398,9 +400,7 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
     d = a.shape[0]
     n = cfg.starts + 1
     if not np.any(a):
-        e0 = np.zeros((d, d), dtype=complex)
-        e0[:, 0] = 1.0                     # any unit rows do: their scales are 0
-        zero = VectorTuple(e0, np.zeros(d))
+        zero = VectorTuple(np.zeros((d, d), dtype=complex))
         return _zero_matrix_run(cfg, n, (zero, zero))
 
     b, k = pow2_normalize(a)
@@ -424,7 +424,7 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
     # every row of the block is a unit vector: _unit_vectors keeps a row's
     # previous unit value where its new direction is 0
     x, y = xy[:, 0, ..., best] + 1j * xy[:, 1, ..., best]
-    witness = (VectorTuple(x, np.ones(d)).validate(), VectorTuple(y, np.ones(d)).validate())
+    witness = (VectorTuple(x), VectorTuple(y))
     return _finish(cfg, n, q[best], witness, k, q, used, cut)
 
 

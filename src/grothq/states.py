@@ -21,7 +21,6 @@ from .linalg import (
     hermitian_eig,
     require_int,
 )
-from .matrix_io import complex_pairs
 
 __all__ = [
     "StateFamily",
@@ -159,9 +158,6 @@ class ExpansionCoefficients:
     dim: int
     coefficients: np.ndarray
 
-    def to_list(self):
-        return complex_pairs(self.coefficients)
-
 
 def expand_state(family: StateFamily, f) -> ExpansionCoefficients:
     """Expand a unit vector over the (overcomplete) family.
@@ -213,6 +209,7 @@ def torus_witness(d: int):
     root of unity, is a unimodular eigenvector of Pi (Pi t = t), so the form
     attains d(d-1) = 12 exactly -- the upper bound d * e_max is tight here.
     """
+    d = require_int(d, "dimension", 2)
     if d == 3:
         q = np.exp(1j * np.pi / 4)
         t = np.array([1.0, q, np.conj(q), 1j, q, np.conj(q)], dtype=complex)

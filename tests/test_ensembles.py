@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grothq import hermitian_eig, is_normal
+from grothq import InputValidationError, hermitian_eig, is_normal
 from grothq.ensembles import (
     complex_gaussian,
     random_density,
@@ -47,3 +47,10 @@ def test_random_projector_idempotent():
     assert np.trace(p).real == pytest.approx(2.0, abs=1e-10)
     with pytest.raises(ValueError):
         random_projector(rng, 3, 0)
+
+
+def test_random_projector_rank_follows_the_integer_rule():
+    rng = np.random.default_rng(4)
+    for rank in (True, 2.0):
+        with pytest.raises(InputValidationError, match="^rank must be an integer"):
+            random_projector(rng, 3, rank)

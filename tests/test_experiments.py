@@ -204,6 +204,19 @@ def test_displacement_operators_unitary():
         displacement_operator(4, 1, 1)
 
 
+@pytest.mark.parametrize("a", [1.5, "1", True])
+def test_displacement_operator_checks_a_and_b(a):
+    for args in ((3, a, 0), (3, 0, a)):
+        with pytest.raises(InputValidationError, match="must be an integer"):
+            displacement_operator(*args)
+
+
+def test_displacement_operator_takes_a_and_b_mod_d():
+    assert np.array_equal(displacement_operator(3, -1, 2), displacement_operator(3, 2, 2))
+    assert np.array_equal(displacement_operator(5, np.int64(2), np.int64(-3)),
+                          displacement_operator(5, 2, -3))
+
+
 # --- rarity study ---
 
 def test_rarity_scaled_projector_hits_region():

