@@ -2,16 +2,21 @@
 
 The classical form of a d x d matrix theta is |sum_ij theta_ij s_i t_j| with
 the scalars constrained to the unit polydisc; its supremum g(theta) is
-bracketed by explicit witnesses from below and by min(||theta||_1, d * s_max)
-from above.  With the scalars in the radius-sqrt(d) ball instead, the
-supremum g'(theta) equals d * s_max exactly, so the ball set is decided from
-s_max alone.  ``closed_form_bounds`` gives ||theta||_1, s_max, g' and that
-upper bound from one normalization and one SVD; ``g_prime``, ``g_upper`` and
-``classify`` take them from the same rule, ``_closed_form``.  Replacing
-scalars by unit-ball vectors gives the trace form |Tr(theta V W^dagger)|,
-whose supremum can exceed g(theta) but never 1.4049 * g(theta).
+bracketed by explicit witnesses from below and by the closed form
+min(||theta||_1, d * s_max) from above.  With the scalars in the radius-sqrt(d)
+ball instead, the supremum g'(theta) equals d * s_max exactly, so the ball set
+is decided from s_max alone.  ``closed_form_bounds`` gives ||theta||_1, s_max,
+g' and the closed form from one normalization and one SVD; ``g_prime``,
+``g_upper`` and ``classify`` take them from the same rule, ``_closed_form``.
+``classify`` closes the bracket further: its upper end is the smaller of the
+closed form and the SDP dual of its own witness (``_witness_dual``, one
+eigenvalue solve), which meets the witness value on most small matrices.
+Replacing scalars by unit-ball vectors gives the trace form
+|Tr(theta V W^dagger)|, whose supremum can exceed g(theta) but never
+1.4049 * g(theta).
 """
 
+import math
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from typing import Optional
@@ -19,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import (
+    ConvergenceError,
     InputValidationError,
     as_matrix,
     largest_singular_value,
@@ -70,34 +76,40 @@ def _check_rows_in_ball(rows: np.ndarray, name: str):
         raise InputValidationError(f"{name} leaves the unit ball: max norm {worst}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolydiscTuple:
-    """A d-tuple of complex scalars in the unit polydisc, checked when made."""
+    """A d-tuple of complex scalars in the unit polydisc, checked when made;
+    it holds its own read-only copy of the values."""
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex).ravel()
-        if not np.all(np.isfinite(self.values.real) & np.isfinite(self.values.imag)):
+        values = np.ravel(self.values).astype(complex)   # a copy that owns its data
+        if not np.all(np.isfinite(values.real) & np.isfinite(values.imag)):
             raise InputValidationError("tuple contains non-finite values")
-        worst = float(np.abs(self.values).max(initial=0.0))
+        worst = float(np.abs(values).max(initial=0.0))
         if worst > 1.0 + UNIT_SET_TOL:
             raise InputValidationError(f"unit-disc tuple has modulus {worst} > 1")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     def to_list(self):
         return complex_pairs(self.values)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VectorTuple:
-    """Vectors in the unit ball, one per row of a 2-D array, checked when made."""
+    """Vectors in the unit ball, one per row of a 2-D array, checked when made;
+    it holds its own read-only copy of the array."""
     vectors: np.ndarray
 
     def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=complex)
-        if self.vectors.ndim != 2:
+        vectors = np.array(self.vectors, dtype=complex)
+        if vectors.ndim != 2:
             raise InputValidationError(
-                f"expected one vector per row, got shape {self.vectors.shape}")
-        _check_rows_in_ball(self.vectors, "vector tuple")
+                f"expected one vector per row, got shape {vectors.shape}")
+        _check_rows_in_ball(vectors, "vector tuple")
+        vectors.setflags(write=False)
+        object.__setattr__(self, "vectors", vectors)
 
     def to_list(self):
         """JSON form, named as ``PolydiscTuple.to_list`` so that a witness
@@ -131,11 +143,52 @@ def eval_Q_trace(theta, v, w) -> float:
 
 def _closed_form(b):
     """(||b||_1, s_max(b), g'(b) = d s_max(b), min(||b||_1, g'(b))) for a
-    ``pow2_normalize``d b: the one statement of the certified upper bound."""
+    ``pow2_normalize``d b: the one statement of the closed-form upper bound."""
     l1 = np.abs(b).sum()
     s_max = largest_singular_value(b)
     gp = b.shape[0] * s_max
     return l1, s_max, gp, min(l1, gp)
+
+
+# LAPACK's bound on a computed eigenvalue of an n x n Hermitian A is
+# |lambda_hat - lambda| <= p(n) eps ||A||_2 (LAPACK Users' Guide, section 4.7);
+# taken with p(n) = 2n and ||A||_F >= ||A||_2, this is p(n) eps / n
+_EIG_ERROR_PER_N = 2 * np.finfo(float).eps
+
+
+def _witness_dual(b, s, t) -> float:
+    """Certified upper bound on g(b) from the dual of the witness values (s, t),
+    for a ``pow2_normalize``d b.
+
+    With n = 2d and H = 1/2 [[0, b], [b^H, 0]], g(b) <= Q_sup(b) = max Tr(HX)
+    over X psd with diag X = 1, and on that set, for every real y,
+    Tr(HX) = Tr((H - Diag y) X) + sum(y) <= n max(lambda_max(H - Diag y), 0) + sum(y).
+    So the bound holds whatever y is: it does not rest on the witness being
+    optimal.  The witness picks y = 1/2 [|b t|; |b^T s|], complementary to the
+    rank-one X = z z^H with z = [conj(s); t] (the pairing x = conj(s)), so the
+    bound meets the witness value where that X solves the SDP.  The largest
+    eigenvalue, from one ``eigvalsh`` of H - Diag y, is raised by LAPACK's
+    error bound n * _EIG_ERROR_PER_N * ||H - Diag y||_F, and the sum is
+    rounded upward.
+    """
+    d = b.shape[0]
+    n = 2 * d
+    y = 0.5 * np.concatenate([np.abs(b @ t), np.abs(b.T @ s)])
+    # eigvalsh reads the lower triangle only; halving b is exact but for a
+    # subnormal entry, whose error is far below the slack
+    a = np.zeros((n, n), dtype=complex)
+    a[d:, :d] = 0.5 * b.conj().T
+    a.flat[::n + 1] = -y
+    try:
+        lam = max(np.linalg.eigvalsh(a, UPLO="L")[-1], 0.0)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigvalsh did not converge: {exc}") from exc
+    # ||H - Diag y||_F; b's entries are below 1, so no square overflows
+    frobenius = math.sqrt(0.5 * np.vdot(b, b).real + np.dot(y, y))
+    slack = n * n * _EIG_ERROR_PER_N * frobenius
+    # n copies of lam, so that fsum rounds n * lam with the rest, once
+    total = math.fsum([*y.tolist(), *[float(lam)] * n, slack])
+    return float(np.nextafter(total, np.inf))
 
 
 def closed_form_bounds(theta) -> dict:
@@ -517,6 +570,7 @@ class GClassification:
     """Bounds and certified membership verdicts for a matrix under the unit forms."""
     g_lower: float
     g_upper: float
+    upper_source: str                # "l1" | "ball" | "dual": the bound that gave g_upper
     g_prime: float
     in_G_prime: bool                 # g' <= 1 + G_PRIME_TOL: a tolerance, not a certificate
     in_G: str                        # "certified_yes" | "certified_no" | "unknown"
@@ -554,10 +608,14 @@ def unit_set_verdicts(lower: float, upper: float, g_prime: float):
 def classify(theta, config: Optional[OptimizerConfig] = None) -> GClassification:
     """Bracket g(theta), decide membership in the unit-form sets.
 
-    Membership in the ball set is exact (g' = d s_max is computable); the
-    polydisc set is certified only when a bound crosses 1: upper bound at most
-    1 certifies membership, a witness above 1 certifies exclusion, anything
-    else is reported unknown together with the bracket.
+    The lower end is the ``g_lower`` witness value; the upper end is the
+    smaller of the closed form min(||theta||_1, d s_max) and the dual bound
+    of that witness (``_witness_dual``), and ``upper_source`` names the one
+    that gave it: "l1", "ball" or "dual" (the dual only when strictly
+    smaller).  Membership in the ball set is exact (g' = d s_max is
+    computable); the polydisc set is certified only when a bound crosses 1:
+    upper bound at most 1 certifies membership, a witness above 1 certifies
+    exclusion, anything else is reported unknown together with the bracket.
     """
     a = require_square(theta)
     d = a.shape[0]
@@ -566,6 +624,11 @@ def classify(theta, config: Optional[OptimizerConfig] = None) -> GClassification
     b, k = pow2_normalize(a)
     run = g_lower(b, config)
     l1_b, _, gp_b, upper_b = _closed_form(b)
+    upper_source = "l1" if l1_b <= gp_b else "ball"
+    s, t = run.best_witness
+    dual_b = _witness_dual(b, s.values, t.values)
+    if dual_b < upper_b:
+        upper_b, upper_source = dual_b, "dual"
     # the witness value is summed in round-to-nearest and can pass the
     # certified bound by an ulp; scaling back is monotone, so one cap on b
     # keeps lower <= upper
@@ -595,6 +658,7 @@ def classify(theta, config: Optional[OptimizerConfig] = None) -> GClassification
     return GClassification(
         g_lower=lower,
         g_upper=upper,
+        upper_source=upper_source,
         g_prime=gp,
         in_G_prime=in_g_prime,
         in_G=in_g,

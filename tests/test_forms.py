@@ -9,6 +9,7 @@ from grothq import (
     K_G_UPPER,
     OptimizerConfig,
     PolydiscTuple,
+    VectorTuple,
     build_family,
     build_projector,
     classify,
@@ -34,7 +35,7 @@ from grothq.ensembles import (
     random_projector,
     random_unitary,
 )
-from grothq.linalg import pow2_normalize
+from grothq.linalg import pow2_normalize, pow2_scale
 
 
 def pi(d):
@@ -576,6 +577,43 @@ def test_classify_unknown_band():
     assert res.g_lower <= res.g_upper + 1e-8
 
 
+def test_classify_pi6_keeps_its_closed_form_upper_bound():
+    # the SDP optimum of Pi_6 has rank above one (Q_sup = 6 > g = 3 + 2 sqrt(2)),
+    # so no dual passes below 6
+    theta = pi(3)
+    res = classify(theta, OptimizerConfig(starts=16, seed=0))
+    assert res.g_upper == g_upper(theta) == pytest.approx(6, rel=1e-15)
+    assert res.upper_source in ("l1", "ball")
+
+
+def test_witness_dual_closes_the_bracket_on_most_small_gaussians():
+    # the dual of the pairing x = conj(s) meets the witness value wherever the
+    # SDP optimum has rank one; the pairing x = s closes none of these
+    rng = np.random.default_rng(31)
+    cfg = OptimizerConfig(starts=16)
+    closed = 0
+    for i in range(60):
+        res = classify(complex_gaussian(rng, 2 + i % 3), cfg)
+        closed += res.upper_source == "dual" and res.g_upper <= res.g_lower * (1 + 1e-9)
+    assert closed >= 30
+
+
+def test_witness_tuples_are_read_only_copies():
+    source = np.ones(2, dtype=complex)
+    s = PolydiscTuple(source)
+    source[:] = 5
+    assert eval_C(np.eye(2), s, s) == 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        s.values[:] = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.values = np.full(2, 5.0)
+    v = VectorTuple(np.eye(2))
+    with pytest.raises(ValueError, match="read-only"):
+        v.vectors[0, 0] = 3.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.vectors = np.full((2, 2), 3.0)
+
+
 def test_classify_necessary_conditions_fields():
     res = classify(pi(3) / 6, SMALL)
     assert res.necessary_for_G_prime["l1_le_d"]
@@ -613,9 +651,14 @@ def test_classify_bracket_orders():
         assert res.g_lower <= res.g_upper
         assert res.g_lower <= res.g_prime
         assert res.g_upper <= res.l1_norm + 1e-12
-        # classify reports the public bounds bit for bit
+        # classify reports the public bounds bit for bit; its upper end is the
+        # smaller of the closed form and the dual of its own witness
         assert res.g_prime == g_prime(theta)
-        assert res.g_upper == g_upper(theta)
+        b, k = pow2_normalize(theta)
+        s, t = res.witnesses
+        dual = float(pow2_scale(forms._witness_dual(b, s.values, t.values), k))
+        assert res.g_upper == min(g_upper(theta), dual)
+        assert res.g_upper <= g_upper(theta)
         assert res.l1_norm == norm_entrywise_l1(theta)
         assert res.g_lower == min(g_lower(theta, cfg).best_value, res.g_upper)
         assert res.g_upper <= res.g_prime

@@ -1,6 +1,8 @@
 """Property tests for the alternating-phase kernels, the phase-system solver,
 the unit-set verdicts and the LAPACK-backed linear algebra."""
 
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
@@ -26,13 +28,15 @@ from grothq import (
 )
 from grothq.experiments import _h6_norm_sq, _h6_phase_ascent
 from grothq.forms import (
-    G_PRIME_TOL, PHASE_TOL, classify, closed_form_bounds, g_prime, unit_set_verdicts)
-from grothq.linalg import pow2_normalize, pow2_split
+    G_PRIME_TOL, PHASE_TOL, _witness_dual, classify, closed_form_bounds, g_prime,
+    unit_set_verdicts)
+from grothq.linalg import pow2_normalize, pow2_scale, pow2_split
 
 # derandomized so that every run of the suite checks the same examples
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
 entries = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+angles = st.floats(-np.pi, np.pi)
 configs = st.builds(OptimizerConfig, starts=st.integers(1, 8), seed=st.integers(0, 2**16))
 
 
@@ -336,14 +340,77 @@ def test_closed_form_bounds_are_the_separate_values_bit_for_bit(m, j):
     assert bounds["g_upper"] == min(l1, gp)
     res = classify(theta, OptimizerConfig(starts=1))
     assert res.g_prime == bounds["g_prime"]
-    assert res.g_upper == bounds["g_upper"]
+    # the upper end is the smaller of the closed form and the witness dual,
+    # both taken on theta / 2^k and scaled back
+    b, k = pow2_normalize(theta)
+    s, t = res.witnesses
+    dual = float(pow2_scale(_witness_dual(b, s.values, t.values), k))
+    assert res.g_upper == min(bounds["g_upper"], dual)
+    assert res.g_upper <= g_upper(theta)
+    assert res.g_lower <= res.g_upper
     assert res.l1_norm == bounds["l1_norm"]
 
 
+# --- the witness dual: an upper bound on g whatever the witness ---
+
+signed = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
+
+
+def exact_l1(x):
+    return sum(Fraction(abs(float(c))) for c in np.ravel(x))
+
+
+@st.composite
+def near_unit_g(draw):
+    """(theta, g(theta) as a Fraction) for a real theta whose g is known
+    exactly and lies within a few ulps of 1, on either side: a diagonal, with
+    g = sum |theta_ii|, or a rank-one u v^T with each u_i 0 or +-2^e, so that
+    every product u_i v_j is exact and g = ||u||_1 ||v||_1."""
+    d = draw(st.integers(1, 6))
+    v = draw(arrays(float, d, elements=signed))
+    rank_one = draw(st.booleans())
+    u = np.ones(1)
+    if rank_one:
+        u = draw(arrays(float, d, elements=st.sampled_from([0.0, 0.5, -1.0, 2.0])))
+    assume(v.any() and u.any())
+    nudge = 1.0 + draw(st.integers(-4, 4)) * np.finfo(float).eps
+    v = v * (nudge / float(exact_l1(u) * exact_l1(v)))
+    theta = np.outer(u, v) if rank_one else np.diag(v)
+    return theta, exact_l1(u) * exact_l1(v)
+
+
+@PROPERTY
+@given(near_unit_g(), st.data())
+def test_witness_dual_is_above_the_exact_g(case, data):
+    theta, g = case
+    res = classify(theta, OptimizerConfig(starts=2))
+    s, t = res.witnesses
+    assert Fraction(_witness_dual(theta, s.values, t.values)) >= g
+    # any unimodular pair gives a bound, not only the witness
+    d = theta.shape[0]
+    z = np.exp(1j * data.draw(arrays(float, 2 * d, elements=angles)))
+    assert Fraction(_witness_dual(theta, z[:d], z[d:])) >= g
+    if res.upper_source == "dual":
+        assert Fraction(res.g_upper) >= g
+        if res.in_G == "certified_yes":
+            assert g <= 1
+
+
+@PROPERTY
+@given(st.integers(2, 8), st.data())
+def test_witness_dual_certifies_g_of_a_projector_holding_a_unimodular_vector(n, data):
+    # P u = u with |u_i| = 1: the witness (conj u, u) has the value u^H P u = N,
+    # and its dual meets it, so g(P) = N (the exact criterion behind Pi_12)
+    rank = data.draw(st.integers(1, n))
+    u = np.exp(1j * data.draw(arrays(float, n, elements=angles)))
+    rest = data.draw(arrays(complex, (n, rank - 1), elements=entries))
+    q, _ = np.linalg.qr(np.column_stack([u, rest]))
+    p = q @ q.conj().T
+    assert close(eval_C(p, PolydiscTuple(u.conj()), PolydiscTuple(u)), n, 1e-12)
+    assert _witness_dual(p, u.conj(), u) <= n * (1 + 1e-12)
+
+
 # --- phase system phi_ij = chi_i + psi_j (mod 2 pi) ---
-
-angles = st.floats(-np.pi, np.pi)
-
 
 @st.composite
 def supports(draw, max_d=8):

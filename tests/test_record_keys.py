@@ -76,7 +76,7 @@ def test_classify_keys_and_witness_pairs():
     res = classify(THETA, CFG)
     doc = res.to_dict()
     assert list(doc) == [
-        "g_lower", "g_upper", "g_prime", "in_G_prime", "in_G", "l1_norm",
+        "g_lower", "g_upper", "upper_source", "g_prime", "in_G_prime", "in_G", "l1_norm",
         "necessary_condition_GRO10", "necessary_for_G_prime", "scaling", "witness"]
     s, t = res.witnesses
     assert doc["witness"] == {"s": _pairs(s.values), "t": _pairs(t.values)}
@@ -105,3 +105,18 @@ def test_phase_system_report_keys(theta):
     assert list(phase_system_solvable(theta).to_dict()) == [
         "solvable", "n_equations", "rank_coefficient", "rank_augmented", "chi", "psi",
         "used_shift_enumeration"]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: g_lower(THETA, CFG),
+    lambda: max_q_lower(THETA, CFG),
+    lambda: classify(THETA, CFG),
+    lambda: phase_system_solvable(THETA),
+    lambda: norm_report(THETA),
+    lambda: run_h6(0.2),
+    lambda: certify_g6(starts=2, seed=0),
+    lambda: run_rarity("random_normal", samples=1, seed=0, starts=2),
+], ids=["g_lower", "max_q_lower", "classify", "phase_system", "norm_report", "h6",
+        "g6_certificate", "rarity_stats"])
+def test_every_record_serializes_with_read_only_witnesses(make):
+    json.dumps(make().to_dict())
