@@ -63,11 +63,8 @@ def cmd_states(args, cfg):
         ok, multisets = states.isotropy_check(family)
         doc["isotropy"] = {"ok": ok, "multiset": [float(x) for x in multisets[0]]}
     if which in ("all", "permutation"):
-        if family.dim <= states.PERMUTATION_MAX_DIM:
-            ok, _ = states.permutation_invariance_check(family)
-            doc["permutation_invariance"] = {"ok": ok}
-        else:
-            doc["permutation_invariance"] = {"skipped": f"dim > {states.PERMUTATION_MAX_DIM}"}
+        ok, _ = states.permutation_invariance_check(family)
+        doc["permutation_invariance"] = {"ok": ok}
     if which == "all":
         doc["overlap_power_sums"] = {
             str(r): states.overlap_power_sum(family, 0, r) for r in (1, 2, 3, 4)}

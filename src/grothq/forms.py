@@ -233,7 +233,7 @@ class OptimizerConfig:
         object.__setattr__(self, "phase_tolerance", tol)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerRun:
     """Result of a multistart maximization, reproducible bit-for-bit from its config.
 
@@ -565,7 +565,7 @@ def phase_system_solvable(theta) -> PhaseSystemReport:
                              used_shift_enumeration=shifted)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GClassification:
     """Bounds and certified membership verdicts for a matrix under the unit forms."""
     g_lower: float

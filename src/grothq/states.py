@@ -5,11 +5,13 @@ at one position and a column of the (d-1)-dimensional Fourier matrix at the
 remaining positions.  The family resolves the identity with weight 1/(d-1)
 for every d >= 2; for d = 3 and d = 4 it is invariant under the symmetric
 group acting on positions and has a state-independent overlap multiset
-(discrete isotropy).  The Gram-type matrix Pi_ij = <a_i|a_j>/(d-1) is a rank-d
-orthogonal projector on the d(d-1)-dimensional space.
+(discrete isotropy).  Invariance is checked exactly at any d on the two
+generators of the symmetric group, the transposition (0 1) and the cycle
+(0 1 ... d-1), with no enumeration of its d! elements.  The Gram-type
+matrix Pi_ij = <a_i|a_j>/(d-1) is a rank-d orthogonal projector on the
+d(d-1)-dimensional space.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,8 +102,6 @@ def _overlap_matrix(family: StateFamily) -> np.ndarray:
 
 # entrywise slack of the isotropy and permutation checks
 FAMILY_TOL = 1e-10
-# largest dimension the permutation check enumerates (d! permutations)
-PERMUTATION_MAX_DIM = 6
 
 
 def isotropy_check(family: StateFamily):
@@ -116,17 +116,22 @@ def permutation_invariance_check(family: StateFamily):
     """Check closure of the family under all position permutations, up to phase.
 
     Returns (ok, mapping) where mapping[(pi, i)] = (j, phase) whenever the
-    permuted state pi . a_i equals phase * a_j.  Exhaustive over the symmetric
-    group, so the dimension is capped at ``PERMUTATION_MAX_DIM``.
+    permuted state pi . a_i equals phase * a_j, and None otherwise.  Only
+    the two generators of the symmetric group are tried, the transposition
+    (1, 0, 2, ..., d-1) and the cycle (1, 2, ..., d-1, 0), one map at d = 2
+    where they coincide, so any d works.  This decides closure under every
+    permutation: a permutation matrix is invertible, so one that sends the
+    family's finite set of rays into itself permutes that set; products of
+    the two generators then send the set onto itself too, and they give
+    every element of the group.
     """
     d = family.dim
-    if d > PERMUTATION_MAX_DIM:
-        raise InputValidationError(
-            f"permutation check enumerates d! permutations; d = {d} > {PERMUTATION_MAX_DIM}")
     states = family.states
+    swap = (1, 0) + tuple(range(2, d))
+    cycle = tuple(range(1, d)) + (0,)
     mapping = {}
     ok = True
-    for pi in itertools.permutations(range(d)):
+    for pi in dict.fromkeys([swap, cycle]):    # one map at d = 2, where they coincide
         # tau_pi acts as (tau x)_i = x_pi(i)
         permuted = states[:, list(pi)]
         overlaps = permuted @ states.conj().T      # (i, j) -> <a_j | tau a_i>

@@ -266,13 +266,10 @@ def test_states_subcommand(capsys):
     assert doc["overlap_power_sums"]["2"] == pytest.approx(3.0, abs=1e-9)
 
 
-def test_states_skips_the_permutation_check_past_its_cap(capsys):
-    d = states.PERMUTATION_MAX_DIM + 1
-    code, out = run_cli(capsys, ["states", "--dim", str(d), "--check", "permutation"])
+def test_states_checks_permutation_invariance_at_dim_7(capsys):
+    code, out = run_cli(capsys, ["states", "--dim", "7", "--check", "permutation"])
     assert code == 0
-    assert json.loads(out)["permutation_invariance"] == {"skipped": "dim > 6"}
-    with pytest.raises(InputValidationError, match="d = 7 > 6"):
-        states.permutation_invariance_check(build_family(d))
+    assert json.loads(out)["permutation_invariance"] == {"ok": False}
 
 
 def test_classify_exit_2_on_a_non_square_matrix(tmp_path, capsys):

@@ -614,6 +614,15 @@ def test_witness_tuples_are_read_only_copies():
         v.vectors = np.full((2, 2), 3.0)
 
 
+def test_optimizer_runs_and_classifications_are_read_only():
+    res = classify(pi(3) / 6, SMALL)
+    run = g_lower(pi(3), SMALL)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        run.best_value = 100.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.g_upper = 0.5
+
+
 def test_classify_necessary_conditions_fields():
     res = classify(pi(3) / 6, SMALL)
     assert res.necessary_for_G_prime["l1_le_d"]

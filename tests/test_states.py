@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from grothq import (
     InputValidationError,
+    StateFamily,
     build_family,
     build_projector,
     eigenvalue_multiplicities,
@@ -14,6 +17,7 @@ from grothq import (
     resolution_check,
     torus_witness,
 )
+from grothq.states import FAMILY_TOL
 
 from golden import W3, golden_family_d3, golden_projector_d3, golden_projector_d4
 
@@ -92,13 +96,15 @@ def test_isotropy_fails_at_d5():
 def test_permutation_invariance_d3():
     ok, mapping = permutation_invariance_check(build_family(3))
     assert ok
-    assert len(mapping) == 6 * 6
+    assert len(mapping) == 2 * 6
+    assert None not in mapping.values()
 
 
 def test_permutation_invariance_d4():
     ok, mapping = permutation_invariance_check(build_family(4))
     assert ok
-    assert len(mapping) == 24 * 12
+    assert len(mapping) == 2 * 12
+    assert None not in mapping.values()
 
 
 def test_permutation_invariance_d2_swap():
@@ -109,9 +115,69 @@ def test_permutation_invariance_d2_swap():
     assert j == 1 and phase == pytest.approx(1.0)
 
 
-def test_permutation_invariance_rejects_large_dims():
-    with pytest.raises(InputValidationError):
-        permutation_invariance_check(build_family(7))
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_permutation_invariance_fails_past_d4_without_raising(d):
+    fam = build_family(d)
+    ok, mapping = permutation_invariance_check(fam)
+    assert not ok
+    assert len(mapping) == 2 * fam.count
+
+
+def _invariant_under_every_permutation(family):
+    """Reference verdict: the per-state test of the check, run over all d! permutations."""
+    states = family.states
+    for pi in itertools.permutations(range(family.dim)):
+        permuted = states[:, list(pi)]
+        overlaps = permuted @ states.conj().T
+        for i in range(family.count):
+            j = int(np.abs(overlaps[i]).argmax())
+            phase = overlaps[i, j]
+            if abs(abs(phase) - 1.0) > FAMILY_TOL or \
+               np.abs(permuted[i] - phase * states[j]).max() > FAMILY_TOL:
+                return False
+    return True
+
+
+def _perturbed_families():
+    """Seeded perturbations of the d = 2..5 families, some invariant and some not."""
+    rng = np.random.default_rng(0)
+    for case in range(100):
+        d = 2 + case % 4
+        states = build_family(d).states.copy()
+        n = states.shape[0]
+        kind = case // 4 % 4
+        i, k = rng.choice(n, size=2, replace=False)
+        if kind == 0:      # a phase-rotated state: the same ray
+            states[i] *= np.exp(2j * np.pi * rng.random())
+        elif kind == 1:    # reordered states: the same set of rays
+            states = states[rng.permutation(n)]
+        elif kind == 2:    # one re-phased entry
+            states[i, rng.integers(d)] *= np.exp(2j * np.pi * rng.uniform(0.1, 0.9))
+        else:              # one state replaced by a copy of another
+            states[i] = states[k]
+        yield StateFamily(dim=d, states=states, recipe=[])
+
+
+def _closed_under_one_generator_only():
+    """d = 3 families closed under the swap (0 1) only, and under the cycle only."""
+    swap_only = np.array([[1, 1, 0], [0, 0, np.sqrt(2)]]) / np.sqrt(2)
+    omega = np.exp(2j * np.pi / 3)
+    cycle_only = np.array([[1, omega, omega ** 2]]) / np.sqrt(3)
+    return [StateFamily(dim=3, states=s.astype(complex), recipe=[])
+            for s in (swap_only, cycle_only)]
+
+
+def test_permutation_invariance_matches_the_full_group_oracle():
+    families = ([build_family(d) for d in (2, 3, 4, 5)] + list(_perturbed_families())
+                + _closed_under_one_generator_only())
+    verdicts = []
+    for fam in families:
+        ok, _ = permutation_invariance_check(fam)
+        assert ok == _invariant_under_every_permutation(fam)
+        verdicts.append(ok)
+    # both verdicts occur among the perturbations, and neither one-generator family passes
+    assert 0 < sum(verdicts[4:104]) < 100
+    assert verdicts[104:] == [False, False]
 
 
 # --- overlap power sums ---
