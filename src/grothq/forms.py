@@ -66,11 +66,13 @@ _SMALL = np.sqrt(np.finfo(float).tiny)   # below it, squared moduli underflow
 _PHASE_CACHE_SIZE = 32                   # (seed, starts, d) start sets kept by _seeded_phases
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def _check_rows_in_ball(rows: np.ndarray, name: str):
     """Raise unless every row of a 2-D array lies in the closed unit ball, to
     ``UNIT_SET_TOL``.  A NaN norm fails the comparison; a norm that overflows
-    belongs to a row outside the ball, and one that underflows to a row inside."""
+    belongs to a row outside the ball, and one that underflows to a row inside.
+    An infinite entry gives an infinite norm (the NaN that inf * 0 leaves in
+    its square's imaginary part is dropped), so no warning is raised."""
     worst = np.linalg.norm(rows, axis=1).max(initial=0.0)
     if not worst <= 1.0 + UNIT_SET_TOL:
         raise InputValidationError(f"{name} leaves the unit ball: max norm {worst}")
@@ -78,17 +80,14 @@ def _check_rows_in_ball(rows: np.ndarray, name: str):
 
 @dataclass(frozen=True)
 class PolydiscTuple:
-    """A d-tuple of complex scalars in the unit polydisc, checked when made;
-    it holds its own read-only copy of the values."""
+    """A d-tuple of complex scalars in the unit polydisc, checked when made
+    (as the rows of a d x 1 ``VectorTuple``: the polydisc is a product of unit
+    balls); it holds its own read-only copy of the values."""
     values: np.ndarray
 
     def __post_init__(self):
         values = np.ravel(self.values).astype(complex)   # a copy that owns its data
-        if not np.all(np.isfinite(values.real) & np.isfinite(values.imag)):
-            raise InputValidationError("tuple contains non-finite values")
-        worst = float(np.abs(values).max(initial=0.0))
-        if worst > 1.0 + UNIT_SET_TOL:
-            raise InputValidationError(f"unit-disc tuple has modulus {worst} > 1")
+        _check_rows_in_ball(values[:, None], "unit-disc tuple")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -238,21 +237,22 @@ class OptimizerRun:
     """Result of a multistart maximization, reproducible bit-for-bit from its config.
 
     Both optimizers run all their starts as one block of ``_alternate``, the
-    starts on its last axis: ``g_lower`` a complex (2, d, 4 * starts) block
+    starts on its last axis: ``g_lower`` a complex (2, d, 2 * starts) block
     of phases, ``max_q_lower`` a real (2, 2, d, d, starts + 1) block of
     vectors held as [Re; Im] rows.  A start settles once a round changes its
     value by less than 1e-3 * phase_tolerance.  ``per_start_values`` and
     ``iterations_used``, in start order: each start's value, and its rounds
-    until it settled or the round cap cut it.  ``converged_fraction``: share
-    of starts that settled before the cap.  For ``g_lower`` a start is its
-    four rows: its value is the best of theirs, it has used the most rounds
-    of any of them, and it has settled when all four have.  ``stop_reason``:
-    "tolerance" (every start settled), "budget" (the cap cut at least one)
-    or "zero_matrix".  ``best_witness``: the pair (s, t) that attains
-    ``best_value``, two ``PolydiscTuple``s from ``g_lower`` and two
-    ``VectorTuple``s from ``max_q_lower``, each checked to lie in its set
-    when it was made; for the zero matrix, all-ones tuples from ``g_lower``
-    and all-zero rows from ``max_q_lower``.
+    until it settled or the round cap cut it; no start settles in its first
+    round, so with ``max_iterations`` >= 2 each reports at least 2.
+    ``converged_fraction``: share of starts that settled before the cap.  For
+    ``g_lower`` a start is its two columns: its value is the better of
+    theirs, it has used the most rounds of either, and it has settled when
+    both have.  ``stop_reason``: "tolerance" (every start settled), "budget"
+    (the cap cut at least one) or "zero_matrix".  ``best_witness``: the pair
+    (s, t) that attains ``best_value``, two ``PolydiscTuple``s from
+    ``g_lower`` and two ``VectorTuple``s from ``max_q_lower``, each checked
+    to lie in its set when it was made; for the zero matrix, all-ones
+    tuples from ``g_lower`` and all-zero rows from ``max_q_lower``.
     """
     config: OptimizerConfig
     best_value: float
@@ -341,7 +341,7 @@ def _unit_vectors(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _alternate(b, xy, q, cap, threshold):
+def _alternate(b, xy, cap, threshold):
     """Alternate y <- unit(b^H x), x <- unit(b y) on a block of starts, the
     starts on its last axis, so each step's inner loop runs over them.
 
@@ -353,10 +353,11 @@ def _alternate(b, xy, q, cap, threshold):
     [[Re, -Im], [Im, Re]] and unit() divides by the Euclidean norm.  (Vectors
     run faster in real form; scalars ran slower in it.)  Either way a
     half-step is one matrix product of ``b`` (or its adjoint) with the whole
-    block.  ``q`` holds each start's value before the first round.  A round
-    sets q = sum_i ||(b y)_i||, which never decreases.  A start leaves the
-    block once a round changes its value by less than ``threshold``; all stop
-    after ``cap`` rounds.  Returns the vectors, the values, the rounds per
+    block.  The block is all a caller hands in: a start's first round only
+    fills in its value, so no start settles before its second.  A round sets
+    q = sum_i ||(b y)_i||, which never decreases.  A start leaves the block
+    once a round changes its value by less than ``threshold``; all stop after
+    ``cap`` rounds.  Returns the vectors, the values, the rounds per
     start and the indices of the starts the cap cut off.
     """
     unit = _unit_scalars if np.iscomplexobj(xy) else _unit_vectors
@@ -364,6 +365,7 @@ def _alternate(b, xy, q, cap, threshold):
     n, m = b.shape[0], xy.shape[-1]
     b_h = b.conj().T
     out, q_out, used = np.empty_like(xy), np.empty(m), np.zeros(m, dtype=int)
+    q = np.full(m, -np.inf)                          # no start settles in its first round
     live = np.arange(m)                              # starts still in the block
     rounds = 0
     x, y = xy[0], xy[1]
@@ -391,13 +393,14 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
     For fixed t the optimal s is s_i = conj phase((theta t)_i), and for fixed
     s the optimal t is t_j = conj phase((theta^T s)_j): ``_alternate`` with
     vectors of dimension 1, x = conj(s) and y = t, which never decreases
-    F(t) = sum_i |(theta t)_i|.  Each seeded start runs as four rows (its
-    phases and their conjugates, each taken once as t and once as s) on theta
-    scaled by ``pow2_normalize``; a row stops once a round changes F by less
-    than 1e-3 * ``phase_tolerance``, or after d * ``max_iterations`` rounds.
-    When the phases of theta split as chi_i + psi_j (``phase_system_solvable``),
-    t = exp(-i psi) attains ||theta||_1 and is the witness unless a row beats
-    it.  The result is a deterministic function of (matrix, config).
+    F(t) = sum_i |(theta t)_i|.  Each seeded start runs as two columns of
+    a complex (2, d, 2 * starts) block (its phases and their conjugates, each
+    taken as s) on theta scaled by ``pow2_normalize``; a column stops once a
+    round changes F by less than 1e-3 * ``phase_tolerance``, or after
+    d * ``max_iterations`` rounds.  When the phases of theta split as
+    chi_i + psi_j (``phase_system_solvable``), t = exp(-i psi) attains
+    ||theta||_1 and is the witness unless a column beats it.  The result is
+    a deterministic function of (matrix, config).
     """
     cfg = config or OptimizerConfig()
     a = require_square(theta)
@@ -409,17 +412,13 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
 
     b, k = pow2_normalize(a)
     seeded = _seeded_phases(cfg.seed, cfg.starts, d).T
-    phases = np.hstack([seeded, seeded.conj()])     # (d, 2n)
-    # rows 0..2n-1 take the phases as t, rows 2n..4n-1 as s; y keeps its
-    # start where a column of theta is zero
-    xy = np.ones((2, d, 4 * n), dtype=complex)
-    xy[1] = np.hstack([phases, phases])
-    xy[0, :, 2 * n:] = phases.conj()
-    q = np.full(4 * n, -np.inf)
-    q[:2 * n] = _unit_scalars(b @ phases, xy[0, :, :2 * n]).sum(axis=0)
-    xy, q, used, cut = _alternate(b, xy, q, d * cfg.max_iterations, 1e-3 * cfg.phase_tolerance)
+    # columns 0..n-1 take the phases as s, n..2n-1 their conjugates; y keeps
+    # its start where a column of theta is zero
+    xy = np.ones((2, d, 2 * n), dtype=complex)
+    xy[0] = np.hstack([seeded.conj(), seeded])
+    xy, q, used, cut = _alternate(b, xy, d * cfg.max_iterations, 1e-3 * cfg.phase_tolerance)
 
-    t_best = xy[1, :, int(q.argmax())]               # deterministic tie-break on row index
+    t_best = xy[1, :, int(q.argmax())]               # deterministic tie-break on column index
     split = phase_system_solvable(b)
     if split.solvable:
         # the forest phases attain ||theta||_1; weakly coupled rows converge slowly
@@ -445,8 +444,9 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
     ``xy[0][:, i, :, s]`` is x_i of start s as [Re; Im] rows, filled straight
     from the start's standard normal draw, and a half-step is one real matrix
     product with [[Re theta, -Im theta], [Im theta, Re theta]] (or its
-    transpose, for theta^H).  Only the best start is turned back into complex
-    vectors, for its witness.
+    transpose, for theta^H).  The block is all it hands the kernel, so even
+    start 0, already settled by ``g_lower``, takes two rounds to settle.
+    Only the best start is turned back into complex vectors, for its witness.
     """
     cfg = config or OptimizerConfig()
     a = require_square(theta)
@@ -468,10 +468,8 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
     for v in xy:
         _unit_vectors(v[..., 1:], v[..., 1:])
 
-    x, y = xy[:, 0] + 1j * xy[:, 1]
-    q = np.abs(np.einsum("ij,iks,jks->s", b, x.conj(), y))
     b_r = np.block([[b.real, -b.imag], [b.imag, b.real]])
-    xy, q, used, cut = _alternate(b_r, xy, q, cfg.max_iterations, 1e-3 * cfg.phase_tolerance)
+    xy, q, used, cut = _alternate(b_r, xy, cfg.max_iterations, 1e-3 * cfg.phase_tolerance)
 
     best = int(q.argmax())
     # every row of the block is a unit vector: _unit_vectors keeps a row's

@@ -174,7 +174,9 @@ def expand_state(family: StateFamily, f) -> ExpansionCoefficients:
     if v.size != family.dim:
         raise InputValidationError(
             f"vector length {v.size} does not match dimension {family.dim}")
-    if not np.isfinite(v).all() or abs(np.linalg.norm(v) - 1.0) > 1e-10:
+    with np.errstate(over="ignore"):    # a norm that overflows is inf
+        norm = np.linalg.norm(v)
+    if not abs(norm - 1.0) <= 1e-10:    # rejects an inf or NaN norm too
         raise InputValidationError("expand_state expects a unit vector")
     coeffs = (family.states.conj() @ v) / (family.dim - 1)
     return ExpansionCoefficients(dim=family.dim, coefficients=coeffs)

@@ -295,6 +295,29 @@ def test_optimizer_runs_report_rounds_and_stop_reason():
         assert run.iterations_used == [0] * n_starts
 
 
+def test_g_lower_hands_the_kernel_two_columns_per_start(monkeypatch):
+    blocks = []
+
+    def recorded(b, xy, cap, threshold):
+        blocks.append(xy.shape)
+        return kernel(b, xy, cap, threshold)
+
+    kernel = forms._alternate
+    monkeypatch.setattr(forms, "_alternate", recorded)
+    g_lower(complex_gaussian(np.random.default_rng(3), 5), OptimizerConfig(starts=6))
+    assert blocks == [(2, 5, 12)]
+
+
+def test_no_start_settles_in_its_first_round():
+    # start 0 of max_q_lower is g_lower's settled witness: a fixed point,
+    # which still takes a second round to show that it has settled
+    theta = complex_gaussian(np.random.default_rng(0), 4)
+    for optimizer in (g_lower, max_q_lower):
+        run = optimizer(theta, SMALL)
+        assert run.stop_reason == "tolerance"
+        assert min(run.iterations_used) >= 2
+
+
 @pytest.mark.parametrize("field, value", [
     ("starts", 0), ("seed", -1), ("max_iterations", 0), ("phase_tolerance", 0.0)])
 def test_optimizer_config_rejects_out_of_range(field, value):

@@ -163,16 +163,16 @@ def test_as_matrix_rejects_what_is_not_a_matrix(m):
         as_matrix(m)
 
 
-def test_polydisc_tuple_rejects_non_finite_values():
-    with pytest.raises(InputValidationError, match="non-finite"):
-        PolydiscTuple([1.0, complex(0.0, np.inf)])
-
-
+# an inf or NaN entry is outside the set too, and is rejected with no
+# RuntimeWarning (which pytest turns into an error here)
 @pytest.mark.parametrize("make", [
     lambda: PolydiscTuple([1.0, 1.5]),
+    lambda: PolydiscTuple([1.0, complex(0.0, np.inf)]),
+    lambda: PolydiscTuple([np.nan, 0.5]),
     lambda: VectorTuple([[np.nan, 0], [0, 1]]),
+    lambda: VectorTuple([[np.inf, 0], [0, 1]]),
     lambda: VectorTuple(np.ones(2)),
-], ids=["polydisc", "nan-row", "1-D"])
+], ids=["polydisc", "polydisc-inf", "polydisc-nan", "nan-row", "inf-row", "1-D"])
 def test_a_tuple_outside_its_set_cannot_be_made(make):
     with pytest.raises(InputValidationError):
         make()
@@ -217,6 +217,11 @@ def test_eval_c_rejects_tuples_that_do_not_match_the_matrix():
 def test_expand_state_rejects_a_vector_of_the_wrong_length():
     with pytest.raises(InputValidationError, match="vector length 2 does not match dimension 3"):
         expand_state(FAMILY3, [1.0, 0.0])
+
+
+def test_expand_state_rejects_a_vector_whose_norm_overflows():
+    with pytest.raises(InputValidationError, match="expects a unit vector"):
+        expand_state(FAMILY3, [1e200, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("key", ["rows", "cols", "entries"])
