@@ -116,14 +116,24 @@ class VectorTuple:
         return complex_pairs(self.vectors)
 
 
+def _form_value(a, v, w) -> float:
+    """|vdot(w, a v)| = |Tr(a v w^H)|, formed on a / 2^k (``pow2_normalize``)
+    and scaled back once, so that neither a product nor the sum underflows or
+    overflows on the way: the one evaluation behind ``eval_C`` and
+    ``eval_Q_trace``."""
+    b, k = pow2_normalize(a)
+    return float(pow2_scale(abs(np.vdot(w, b @ v)), k))
+
+
 def eval_C(theta, s: PolydiscTuple, t: PolydiscTuple) -> float:
-    """Classical form |sum_ij theta_ij s_i t_j|."""
+    """Classical form |sum_ij theta_ij s_i t_j|: the trace form with vectors of
+    dimension 1, x = conj(s) and y = t, as in ``_alternate``."""
     a = as_matrix(theta)
     if s.values.size != a.shape[0] or t.values.size != a.shape[1]:
         raise InputValidationError(
             f"tuple lengths {s.values.size}, {t.values.size} do not match "
             f"matrix shape {a.shape}")
-    return float(abs(np.dot(s.values, a @ t.values)))
+    return _form_value(a, t.values[:, None], s.values.conj()[:, None])
 
 
 def eval_Q_trace(theta, v, w) -> float:
@@ -137,7 +147,7 @@ def eval_Q_trace(theta, v, w) -> float:
             f"dimension mismatch: {a.shape}, {vm.shape}, {wm.shape}")
     _check_rows_in_ball(vm, "a row of V")
     _check_rows_in_ball(wm, "a row of W")
-    return float(abs(np.trace(a @ vm @ wm.conj().T)))
+    return _form_value(a, vm, wm)
 
 
 def _closed_form(b):
@@ -236,10 +246,10 @@ class OptimizerConfig:
 class OptimizerRun:
     """Result of a multistart maximization, reproducible bit-for-bit from its config.
 
-    Both optimizers run all their starts as one block of ``_alternate``, the
-    starts on its last axis: ``g_lower`` a complex (2, d, 2 * starts) block
-    of phases, ``max_q_lower`` a real (2, 2, d, d, starts + 1) block of
-    vectors held as [Re; Im] rows.  A start settles once a round changes its
+    Both optimizers run all their starts as one complex block of
+    ``_alternate``, the starts on its axis 2: ``g_lower`` a (2, d, 2 * starts)
+    block of phases, ``max_q_lower`` a (2, d, starts + 1, d) block of vectors,
+    each on the last axis.  A start settles once a round changes its
     value by less than 1e-3 * phase_tolerance.  ``per_start_values`` and
     ``iterations_used``, in start order: each start's value, and its rounds
     until it settled or the round cap cut it; no start settles in its first
@@ -308,61 +318,58 @@ def _finish(cfg, n, best_b, witness, k, q, used, cut) -> OptimizerRun:
 
 def _unit_scalars(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the phases z / |z| of a complex array into ``out``, which keeps
-    its value where z = 0, and return the moduli |z|."""
+    its value where z = 0, and return the moduli |z|.  Complex division by a
+    subnormal modulus overflows, so when any modulus is below ``_SMALL`` the
+    entries go through ``_unit_vectors`` as vectors of dimension 1, which
+    scales them first."""
     norms = np.abs(z)
     if np.minimum.reduce(norms.ravel()) >= _SMALL:
         np.divide(z, norms, out=out)
         return norms
-    # complex division by a subnormal overflows: scale each entry by an
-    # exact power of two first
-    nonzero = z != 0
-    w, e = pow2_split(z[nonzero], axis=())
-    w_norms = np.sqrt((w.conj() * w).real)
-    out[nonzero] = w / w_norms
-    norms[nonzero] = pow2_scale(w_norms, e)
-    return norms
+    return _unit_vectors(z[..., None], out[..., None])
 
 
 def _unit_vectors(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Normalize complex vectors held in real form: ``z[:, i, :, s]`` is vector i
-    of start s as [Re; Im] rows.  Write each vector over its norm into ``out``,
-    which keeps its value where the vector is 0, and return the (n, m) norms."""
-    norms = np.sqrt(np.einsum("rics,rics->is", z, z))
+    """Write the complex vectors on the last axis of ``z`` over their norms
+    into ``out``, which keeps its value where a vector is 0, and return the
+    norms.  Both arrays need a contiguous last axis: the norms are
+    ``np.vecdot`` on their real views."""
+    zr = z.view(float)
+    norms = np.sqrt(np.vecdot(zr, zr))
     if np.minimum.reduce(norms.ravel()) >= _SMALL:
-        np.divide(z, norms[:, None], out=out)
+        np.divide(zr, norms[..., None], out=out.view(float))
         return norms
     # the squares underflow: scale each vector by an exact power of two first
-    z_t, out_t = z.transpose(1, 3, 0, 2), out.transpose(1, 3, 0, 2)
-    nonzero = np.any(z_t, axis=(2, 3))
-    w, e = pow2_split(z_t[nonzero], axis=(1, 2))
-    w_norms = np.sqrt(np.einsum("vrc,vrc->v", w, w))
-    out_t[nonzero] = w / w_norms[:, None, None]
-    norms[nonzero] = pow2_scale(w_norms, e[:, 0, 0])
+    nonzero = np.any(z, axis=-1)
+    w, e = pow2_split(z[nonzero], axis=-1)
+    wr = w.view(float)
+    w_norms = np.sqrt(np.vecdot(wr, wr))
+    out[nonzero] = w / w_norms[:, None]
+    norms[nonzero] = pow2_scale(w_norms, e[:, 0])
     return norms
 
 
 def _alternate(b, xy, cap, threshold):
-    """Alternate y <- unit(b^H x), x <- unit(b y) on a block of starts, the
-    starts on its last axis, so each step's inner loop runs over them.
+    """Alternate y <- unit(b^H x), x <- unit(b y) on a complex block of
+    starts, the starts on its axis 2, so each step's inner loop runs over them.
 
-    ``xy[0]`` holds x and ``xy[1]`` holds y, and the block's dtype picks the
-    norm step.  A complex (2, d, m) block holds scalars: ``xy[0][i, s]`` is
-    x_i of start s, ``b`` is theta and unit() takes the phase.  A real
-    (2, 2, d, k, m) block holds k-vectors in real form: ``xy[0][:, i, :, s]``
-    is x_i of start s as [Re; Im] rows, ``b`` is theta's real form
-    [[Re, -Im], [Im, Re]] and unit() divides by the Euclidean norm.  (Vectors
-    run faster in real form; scalars ran slower in it.)  Either way a
-    half-step is one matrix product of ``b`` (or its adjoint) with the whole
-    block.  The block is all a caller hands in: a start's first round only
-    fills in its value, so no start settles before its second.  A round sets
-    q = sum_i ||(b y)_i||, which never decreases.  A start leaves the block
-    once a round changes its value by less than ``threshold``; all stop after
-    ``cap`` rounds.  Returns the vectors, the values, the rounds per
-    start and the indices of the starts the cap cut off.
+    ``xy[0]`` holds x and ``xy[1]`` holds y, and the block's rank picks the
+    unit step.  A (2, d, m) block holds scalars: ``xy[0][i, s]`` is x_i of
+    start s and unit() takes the phase.  A (2, d, m, k) block holds
+    k-vectors: ``xy[0][i, s]`` is the vector x_i of start s and unit()
+    divides by its Euclidean norm.  ``b`` is the ``pow2_normalize``d matrix
+    either way, and a half-step is one matrix product of ``b`` (or its
+    adjoint) with the whole block.  The block is all a caller hands in: a
+    start's first round only fills in its value, so no start settles before
+    its second.  A round sets q = sum_i ||(b y)_i||, which never decreases.
+    A start leaves the block once a round changes its value by less than
+    ``threshold``; all stop after ``cap`` rounds.  Returns the vectors, the
+    values, the rounds per start and the indices of the starts the cap cut
+    off.
     """
-    unit = _unit_scalars if np.iscomplexobj(xy) else _unit_vectors
+    unit = _unit_scalars if xy.ndim == 3 else _unit_vectors
     xy = np.ascontiguousarray(xy)                    # so that x2 and y2 below are views
-    n, m = b.shape[0], xy.shape[-1]
+    n, m = b.shape[0], xy.shape[2]
     b_h = b.conj().T
     out, q_out, used = np.empty_like(xy), np.empty(m), np.zeros(m, dtype=int)
     q = np.full(m, -np.inf)                          # no start settles in its first round
@@ -378,12 +385,12 @@ def _alternate(b, xy, cap, threshold):
         gain = q - q_prev
         if np.minimum.reduce(gain) < threshold:       # needed for any |gain| < threshold
             # write the block back by index, then drop the settled starts
-            out[..., live], q_out[live], used[live] = xy, q, rounds
+            out[:, :, live], q_out[live], used[live] = xy, q, rounds
             keep = np.abs(gain) >= threshold
-            xy, q, live = xy.compress(keep, axis=-1), q[keep], live[keep]
+            xy, q, live = xy.compress(keep, axis=2), q[keep], live[keep]
             x, y = xy[0], xy[1]
             x2, y2 = x.reshape(n, -1), y.reshape(n, -1)
-    out[..., live], q_out[live], used[live] = xy, q, rounds
+    out[:, :, live], q_out[live], used[live] = xy, q, rounds
     return out, q_out, used, live
 
 
@@ -439,14 +446,12 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
     sum_i conj(theta_ij) x_i, and symmetrically: ``_alternate`` with vectors
     of dimension d.  One extra start embeds the scalar witness of ``g_lower``
     (same config) as parallel vectors, so the result never falls below that
-    scalar bound.  All starts run as one real (2, 2, d, d, starts + 1) block
+    scalar bound.  All starts run as one complex (2, d, starts + 1, d) block
     on theta scaled as in ``g_lower``, for at most ``max_iterations`` rounds:
-    ``xy[0][:, i, :, s]`` is x_i of start s as [Re; Im] rows, filled straight
-    from the start's standard normal draw, and a half-step is one real matrix
-    product with [[Re theta, -Im theta], [Im theta, Re theta]] (or its
-    transpose, for theta^H).  The block is all it hands the kernel, so even
-    start 0, already settled by ``g_lower``, takes two rounds to settle.
-    Only the best start is turned back into complex vectors, for its witness.
+    ``xy[0][i, s]`` is the vector x_i of start s, and each seeded start takes
+    x = r[0] + i r[1] and y = r[2] + i r[3] from its standard normal draw r.
+    The block is all it hands the kernel, so even start 0, already settled
+    by ``g_lower``, takes two rounds to settle.
     """
     cfg = config or OptimizerConfig()
     a = require_square(theta)
@@ -458,24 +463,18 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
 
     b, k = pow2_normalize(a)
     s_w, t_w = g_lower(b, cfg).best_witness
-    # xy[0, :, i, :, s] is x_i of start s as [Re; Im] rows, xy[1] likewise y
-    xy = np.zeros((2, 2, d, d, n))
-    w = np.array([np.conj(s_w.values), t_w.values])  # start 0: g_lower's witness
-    xy[:, 0, :, 0, 0], xy[:, 1, :, 0, 0] = w.real, w.imag
+    xy = np.zeros((2, d, n, d), dtype=complex)
+    xy[:, :, 0, 0] = s_w.values.conj(), t_w.values   # start 0: g_lower's witness
     for i in range(cfg.starts):
         r = np.random.default_rng(cfg.seed ^ i).standard_normal((4, d, d))
-        xy[..., i + 1] = r.reshape(2, 2, d, d)      # Re x, Im x, Re y, Im y
-    for v in xy:
-        _unit_vectors(v[..., 1:], v[..., 1:])
-
-    b_r = np.block([[b.real, -b.imag], [b.imag, b.real]])
-    xy, q, used, cut = _alternate(b_r, xy, cfg.max_iterations, 1e-3 * cfg.phase_tolerance)
+        xy[:, :, i + 1] = r[0::2] + 1j * r[1::2]
+    _unit_vectors(xy[:, :, 1:], xy[:, :, 1:])
+    xy, q, used, cut = _alternate(b, xy, cfg.max_iterations, 1e-3 * cfg.phase_tolerance)
 
     best = int(q.argmax())
     # every row of the block is a unit vector: _unit_vectors keeps a row's
     # previous unit value where its new direction is 0
-    x, y = xy[:, 0, ..., best] + 1j * xy[:, 1, ..., best]
-    witness = (VectorTuple(x), VectorTuple(y))
+    witness = (VectorTuple(xy[0, :, best]), VectorTuple(xy[1, :, best]))
     return _finish(cfg, n, q[best], witness, k, q, used, cut)
 
 

@@ -7,9 +7,10 @@ Usage (from the repository root):
 The corpus freezes the best values that the golden-section coordinate ascent
 (scan_points=32, line_tolerance=1e-10) reached on about 150 matrices, so
 that any later g_lower kernel can be checked against it: its best value must
-never fall more than 1e-12 relative below the frozen one.  Rerunning the
-script records the values of whatever g_lower is installed, so the committed
-file is never regenerated after a kernel change.
+never fall more than 1e-12 relative below the frozen one.  Running the
+script would record the values of whatever g_lower is installed, so it
+refuses to overwrite the committed file and exits non-zero; to re-freeze
+the corpus, delete the file on purpose first.
 
 Entries: complex Gaussians at d = 2..8, random normal matrices at d = 6,
 the overlap projectors Pi_6 and Pi_12, and rank-one matrices at d = 2..8.
@@ -58,6 +59,10 @@ def cases():
 
 
 def main():
+    if OUT.exists():
+        print(f"{OUT} exists: the corpus is frozen; delete the file to re-freeze it",
+              file=sys.stderr)
+        return 1
     entries = []
     for family, m, cfg in cases():
         run = g_lower(m, cfg)
@@ -76,7 +81,8 @@ def main():
     lines += [json.dumps(e) + "," for e in entries[:-1]] + [json.dumps(entries[-1])]
     OUT.write_text("\n".join(lines) + "\n]}\n")
     print(f"wrote {len(entries)} entries to {OUT}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -8,9 +8,10 @@ The corpus freezes what the per-start batched max_q_lower kernel (one small
 matmul per start and half-step, settled starts kept in the block) reached on
 about 90 matrices: the best value and every start's value.  A later kernel
 must never fall more than 1e-12 relative below a frozen best value, and each
-start must end within 1e-12 relative of its frozen value.  Rerunning the
-script records the values of whatever max_q_lower is installed, so the
-committed file is never regenerated after a kernel change.
+start must end within 1e-12 relative of its frozen value.  Running the
+script would record the values of whatever max_q_lower is installed, so it
+refuses to overwrite the committed file and exits non-zero; to re-freeze
+the corpus, delete the file on purpose first.
 
 Entries: rarity samples as ``grothq experiment rarity`` draws them
 (random normal, d = 6, scaled by g_upper, 16 starts, max_iterations=300;
@@ -66,6 +67,10 @@ def cases():
 
 
 def main():
+    if OUT.exists():
+        print(f"{OUT} exists: the corpus is frozen; delete the file to re-freeze it",
+              file=sys.stderr)
+        return 1
     entries = []
     for family, m, cfg in cases():
         run = max_q_lower(m, cfg)
@@ -86,7 +91,8 @@ def main():
     lines += [json.dumps(e) + "," for e in entries[:-1]] + [json.dumps(entries[-1])]
     OUT.write_text("\n".join(lines) + "\n]}\n")
     print(f"wrote {len(entries)} entries to {OUT}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -113,6 +113,33 @@ def test_eval_q_rejects_mismatch():
         eval_Q_trace(np.eye(2), np.eye(2), np.diag([1.0, 1.0 + 1e-9]))
 
 
+def scaled_gaussian(seed, j, d=4):
+    """2^j times a complex Gaussian, each part scaled by ldexp."""
+    g = complex_gaussian(np.random.default_rng(seed), d)
+    return np.ldexp(g.real, j) + 1j * np.ldexp(g.imag, j)
+
+
+def test_eval_c_meets_g_lower_on_subnormal_theta():
+    # theta / 2^k is exact, and the witness value and g_lower's best value,
+    # both formed on it, round to the same subnormal
+    theta = scaled_gaussian(1, -1060)
+    run = g_lower(theta, SMALL)
+    assert 0 < run.best_value < np.finfo(float).tiny
+    assert eval_C(theta, *run.best_witness) == run.best_value
+
+
+def test_eval_c_overflows_to_inf_without_warning():
+    theta = scaled_gaussian(0, 1021)
+    run = g_lower(theta, SMALL)
+    assert run.best_value == np.inf
+    assert eval_C(theta, *run.best_witness) == np.inf
+
+
+def test_eval_q_trace_of_huge_theta_cancels_exactly():
+    theta = np.full((2, 2), np.finfo(float).max)
+    assert eval_Q_trace(theta, [[1, 0], [1, 0]], [[1, 0], [-1, 0]]) == 0.0
+
+
 # --- ball supremum ---
 
 def test_g_prime_fourier():
@@ -306,6 +333,61 @@ def test_g_lower_hands_the_kernel_two_columns_per_start(monkeypatch):
     monkeypatch.setattr(forms, "_alternate", recorded)
     g_lower(complex_gaussian(np.random.default_rng(3), 5), OptimizerConfig(starts=6))
     assert blocks == [(2, 5, 12)]
+
+
+def test_max_q_lower_hands_the_kernel_one_complex_block(monkeypatch):
+    calls = []
+
+    def recorded(b, xy, cap, threshold):
+        calls.append((b, xy.copy()))
+        return kernel(b, xy, cap, threshold)
+
+    kernel = forms._alternate
+    monkeypatch.setattr(forms, "_alternate", recorded)
+    theta = complex_gaussian(np.random.default_rng(3), 5)
+    cfg = OptimizerConfig(starts=6, seed=9)
+    run = max_q_lower(theta, cfg)
+    (b_g, _), (b_q, xy) = calls                      # g_lower's seed start, then the vectors
+    assert np.array_equal(b_q, b_g) and np.array_equal(b_q, pow2_normalize(theta)[0])
+    assert xy.dtype == complex and xy.shape == (2, 5, 7, 5)
+    # start 0 is g_lower's witness (x = conj(s), y = t) on the first component
+    s, t = g_lower(theta, cfg).best_witness
+    assert np.array_equal(xy[:, :, 0, 0], [s.values.conj(), t.values])
+    assert not xy[:, :, 0, 1:].any()
+    # start i + 1 is its seeded draw r, x = r[0] + i r[1] and y = r[2] + i r[3], normalized
+    r = np.random.default_rng(cfg.seed ^ 2).standard_normal((4, 5, 5))
+    draw = r[0::2] + 1j * r[1::2]
+    assert np.allclose(xy[:, :, 3], draw / np.linalg.norm(draw, axis=-1, keepdims=True),
+                       rtol=0, atol=1e-15)
+    x, y = run.best_witness
+    assert x.vectors.shape == y.vectors.shape == (5, 5)
+
+
+def test_unit_scalars_share_the_vector_underflow_path():
+    z = np.array([3 + 4j, 5e-324 * (1 + 1j), 0])
+    out = np.full(3, 2.0 + 0j)
+    norms = forms._unit_scalars(z, out)
+    np.testing.assert_array_equal(norms, np.abs(z))
+    np.testing.assert_allclose(out[:2], [0.6 + 0.8j, (1 + 1j) / np.sqrt(2)], rtol=1e-15)
+    assert out[2] == 2.0
+
+
+def test_unit_vectors_scale_vectors_whose_squares_underflow():
+    z = np.array([[3, 4j], [5e-324, 5e-324j], [0, 0]])
+    out = np.full((3, 2), 2.0 + 0j)
+    norms = forms._unit_vectors(z, out)
+    np.testing.assert_array_equal(norms, [5.0, 5e-324, 0.0])
+    np.testing.assert_allclose(out[:2], [[0.6, 0.8j], [1 / np.sqrt(2), 1j / np.sqrt(2)]],
+                               rtol=1e-15)
+    np.testing.assert_array_equal(out[2], [2.0, 2.0])
+
+
+def test_unit_steps_keep_out_where_every_entry_is_zero():
+    for unit, shape in ((forms._unit_scalars, (3, 2)), (forms._unit_vectors, (3, 2, 2))):
+        out = np.full(shape, 2.0 + 0j)
+        norms = unit(np.zeros(shape, dtype=complex), out)
+        np.testing.assert_array_equal(norms, np.zeros(shape[:2]))
+        np.testing.assert_array_equal(out, np.full(shape, 2.0))
 
 
 def test_no_start_settles_in_its_first_round():

@@ -5,6 +5,7 @@ with the golden-section coordinate ascent; each entry holds a matrix, the
 OptimizerConfig it was run with and the best value it reached.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -12,7 +13,8 @@ import pytest
 
 from grothq import OptimizerConfig, eval_C, g_lower, matrix_from_dict
 
-CORPUS = json.loads((Path(__file__).parent / "data" / "g_lower_corpus.json").read_text())
+DATA = Path(__file__).parent / "data"
+CORPUS = json.loads((DATA / "g_lower_corpus.json").read_text())
 ENTRIES = CORPUS["entries"]
 
 
@@ -31,3 +33,15 @@ def test_g_lower_not_below_frozen_value(entry):
     assert run.best_value >= entry["best_value"] * (1 - 1e-12)
     s, t = run.best_witness
     assert eval_C(theta, s, t) == pytest.approx(run.best_value, rel=1e-12)
+
+
+def test_generator_refuses_to_overwrite_a_corpus(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("generator", DATA / "make_g_lower_corpus.py")
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    frozen = tmp_path / "g_lower_corpus.json"
+    frozen.write_text('{"entries": []}')
+    generator.OUT = frozen
+    assert generator.main() == 1
+    assert str(frozen) in capsys.readouterr().err
+    assert frozen.read_text() == '{"entries": []}'

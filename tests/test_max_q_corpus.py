@@ -5,6 +5,7 @@ with the per-start batched kernel; each entry holds a matrix, the
 OptimizerConfig it was run with, the best value and every start's value.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -12,7 +13,8 @@ import pytest
 
 from grothq import OptimizerConfig, matrix_from_dict, max_q_lower
 
-CORPUS = json.loads((Path(__file__).parent / "data" / "max_q_corpus.json").read_text())
+DATA = Path(__file__).parent / "data"
+CORPUS = json.loads((DATA / "max_q_corpus.json").read_text())
 ENTRIES = CORPUS["entries"]
 
 
@@ -32,3 +34,15 @@ def test_max_q_lower_keeps_frozen_values(entry):
     run = max_q_lower(theta, OptimizerConfig(**entry["config"]))
     assert run.best_value >= entry["best_value"] * (1 - 1e-12)
     assert run.per_start_values == pytest.approx(entry["per_start_values"], rel=1e-12, abs=0)
+
+
+def test_generator_refuses_to_overwrite_a_corpus(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("generator", DATA / "make_max_q_corpus.py")
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    frozen = tmp_path / "max_q_corpus.json"
+    frozen.write_text('{"entries": []}')
+    generator.OUT = frozen
+    assert generator.main() == 1
+    assert str(frozen) in capsys.readouterr().err
+    assert frozen.read_text() == '{"entries": []}'

@@ -26,6 +26,7 @@ from grothq import (
     phase_system_solvable,
     row_norms,
 )
+from grothq.ensembles import complex_gaussian
 from grothq.experiments import _h6_norm_sq, _h6_phase_ascent
 from grothq.forms import (
     G_PRIME_TOL, PHASE_TOL, _witness_dual, classify, closed_form_bounds, g_prime,
@@ -221,6 +222,32 @@ def test_max_q_lower_witness_valid_with_tiny_row_or_column(theta, cfg, index, ro
     x, y = run.best_witness
     assert close(eval_Q_trace(theta, y.vectors, x.vectors), run.best_value, 1e-12)
     assert run.best_value >= g_lower(theta, cfg).best_value * (1 - 1e-12) - 1e-12 * TINY
+
+
+# the smallest subnormal: two values closer than it round to subnormals at
+# most one step apart
+SUBNORMAL_STEP = 5e-324
+
+
+def agrees(value, reference):
+    """Within 1e-12 relative or one subnormal step, or both inf."""
+    if np.isinf(value) or np.isinf(reference):
+        return value == reference
+    return abs(value - reference) <= max(1e-12 * abs(reference), SUBNORMAL_STEP)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 5), st.integers(0, 2**16), st.integers(-1074, 1022))
+def test_witnesses_reevaluate_to_best_value_across_the_float_range(d, seed, j):
+    # both evaluators form their value on theta / 2^k, as the optimizers do
+    g = complex_gaussian(np.random.default_rng(seed), d)
+    theta = ldexp(g / np.abs(g).max(), j)            # largest modulus 2^j
+    cfg = OptimizerConfig(starts=4, seed=0)
+    run = g_lower(theta, cfg)
+    assert agrees(eval_C(theta, *run.best_witness), run.best_value)
+    run = max_q_lower(theta, cfg)
+    x, y = run.best_witness
+    assert agrees(eval_Q_trace(theta, y.vectors, x.vectors), run.best_value)
 
 
 # --- largest singular value and Hermitian eigendecomposition ---
