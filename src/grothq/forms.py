@@ -63,7 +63,7 @@ __all__ = [
 K_G_UPPER = 1.4049
 
 _SMALL = np.sqrt(np.finfo(float).tiny)   # below it, squared moduli underflow
-_PHASE_CACHE_SIZE = 32                   # (seed, starts, d) start sets kept by _seeded_phases
+_START_CACHE_SIZE = 32                   # (seed, starts, d) start sets kept by _seeded_starts
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -284,16 +284,26 @@ class OptimizerRun:
         }
 
 
-@lru_cache(maxsize=_PHASE_CACHE_SIZE)
-def _seeded_phases(seed: int, starts: int, d: int) -> np.ndarray:
-    """The seeded start phases in dimension d: a shared, read-only (starts, d)
-    array, drawn once per (seed, starts, d)."""
-    # one generator per start, so start s is the same whatever the number of starts
-    angles = [np.random.default_rng(seed ^ s).uniform(-np.pi, np.pi, d)
-              for s in range(starts)]
-    phases = np.exp(1j * np.array(angles))
-    phases.flags.writeable = False
-    return phases
+@lru_cache(maxsize=_START_CACHE_SIZE)
+def _seeded_starts(seed: int, starts: int, d: int) -> tuple:
+    """The seeded starts in dimension d, drawn once per (seed, starts, d):
+    ``g_lower``'s start phases, a (starts, d) array, and ``max_q_lower``'s
+    start vectors, a (2, d, starts, d) block with x = r[0] + i r[1] and
+    y = r[2] + i r[3] of start s at ``[:, :, s]``, r its standard normal
+    (4, d, d) draw.  Both arrays are shared and read-only."""
+    # one generator per start, so start s is the same whatever the number of
+    # starts; both draws open its stream, as a fresh default_rng(seed ^ s) does
+    angles, r = np.empty((starts, d)), np.empty((4, d, starts, d))
+    for s in range(starts):
+        rng = np.random.default_rng(seed ^ s)
+        state = rng.bit_generator.state
+        angles[s] = rng.uniform(-np.pi, np.pi, d)
+        rng.bit_generator.state = state
+        r[:, :, s] = rng.standard_normal((4, d, d))
+    phases = np.exp(1j * angles)
+    vectors = r[0::2] + 1j * r[1::2]
+    phases.flags.writeable = vectors.flags.writeable = False
+    return phases, vectors
 
 
 def _zero_matrix_run(cfg: OptimizerConfig, n: int, witness: tuple) -> OptimizerRun:
@@ -366,30 +376,63 @@ def _alternate(b, xy, cap, threshold):
     ``threshold``; all stop after ``cap`` rounds.  Returns the vectors, the
     values, the rounds per start and the indices of the starts the cap cut
     off.
+
+    Rounds write into work arrays made once per block width: the product,
+    its norms, the next value and the gain.  The block narrows only in a
+    round where a start settles, never for speed alone: zgemm can round a
+    column's product differently at another block width.  Where a norm is
+    below ``_SMALL``, the half-step goes through ``_unit_scalars`` or
+    ``_unit_vectors`` instead, which scale first.
     """
-    unit = _unit_scalars if xy.ndim == 3 else _unit_vectors
-    xy = np.ascontiguousarray(xy)                    # so that x2 and y2 below are views
-    n, m = b.shape[0], xy.shape[2]
+    vectors = xy.ndim == 4
+    unit = _unit_vectors if vectors else _unit_scalars
+    xy = np.ascontiguousarray(xy)                    # so that the views below are views
+    d, m = b.shape[0], xy.shape[2]
     b_h = b.conj().T
     out, q_out, used = np.empty_like(xy), np.empty(m), np.zeros(m, dtype=int)
     q = np.full(m, -np.inf)                          # no start settles in its first round
     live = np.arange(m)                              # starts still in the block
     rounds = 0
-    x, y = xy[0], xy[1]
-    x2, y2 = x.reshape(n, -1), y.reshape(n, -1)
     while live.size and rounds < cap:
-        rounds += 1
-        unit((b_h @ x2).reshape(y.shape), y)
-        norms = unit((b @ y2).reshape(x.shape), x)
-        q, q_prev = np.add.reduce(norms, axis=0), q
-        gain = q - q_prev
-        if np.minimum.reduce(gain) < threshold:       # needed for any |gain| < threshold
-            # write the block back by index, then drop the settled starts
-            out[:, :, live], q_out[live], used[live] = xy, q, rounds
-            keep = np.abs(gain) >= threshold
-            xy, q, live = xy.compress(keep, axis=2), q[keep], live[keep]
-            x, y = xy[0], xy[1]
-            x2, y2 = x.reshape(n, -1), y.reshape(n, -1)
+        # work arrays and views for the block's current width
+        x, y = xy[0], xy[1]
+        width = live.size
+        z = np.empty((d, x[0].size), dtype=complex)
+        q_next, gain = np.empty(width), np.empty(width)
+        if vectors:
+            norms = np.empty((d, width))
+            zr = z.view(float).reshape(d, width, -1)    # [Re, Im] of each vector
+            num, den = zr, norms[..., None]
+            steps = ((b_h, x.reshape(d, -1), y, y.view(float)),
+                     (b, y.reshape(d, -1), x, x.view(float)))
+        else:
+            # the moduli are the real parts of a complex array, so that the
+            # complex divide z / (|z| + 0i) runs without casting them
+            den = np.zeros((d, width), dtype=complex)
+            num, norms = z, den.real
+            steps = ((b_h, x, y, y), (b, y, x, x))
+        while rounds < cap:
+            rounds += 1
+            for a, src, dst, dst_num in steps:
+                np.matmul(a, src, out=z)
+                if vectors:
+                    np.vecdot(zr, zr, out=norms)
+                    np.sqrt(norms, out=norms)
+                else:
+                    np.abs(z, out=norms)
+                if np.minimum.reduce(norms, axis=None) >= _SMALL:
+                    np.divide(num, den, out=dst_num)
+                else:
+                    norms[...] = unit(z.reshape(dst.shape), dst)
+            np.add.reduce(norms, axis=0, out=q_next)
+            np.subtract(q_next, q, out=gain)
+            q, q_next = q_next, q
+            if np.minimum.reduce(gain) < threshold:   # needed for any |gain| < threshold
+                # write the block back by index, then drop the settled starts
+                out[:, :, live], q_out[live], used[live] = xy, q, rounds
+                keep = np.abs(gain) >= threshold
+                xy, q, live = xy.compress(keep, axis=2), q[keep], live[keep]
+                break
     out[:, :, live], q_out[live], used[live] = xy, q, rounds
     return out, q_out, used, live
 
@@ -418,7 +461,7 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
         return _zero_matrix_run(cfg, n, (ones, ones))
 
     b, k = pow2_normalize(a)
-    seeded = _seeded_phases(cfg.seed, cfg.starts, d).T
+    seeded = _seeded_starts(cfg.seed, cfg.starts, d)[0].T
     # columns 0..n-1 take the phases as s, n..2n-1 their conjugates; y keeps
     # its start where a column of theta is zero
     xy = np.ones((2, d, 2 * n), dtype=complex)
@@ -465,9 +508,7 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
     s_w, t_w = g_lower(b, cfg).best_witness
     xy = np.zeros((2, d, n, d), dtype=complex)
     xy[:, :, 0, 0] = s_w.values.conj(), t_w.values   # start 0: g_lower's witness
-    for i in range(cfg.starts):
-        r = np.random.default_rng(cfg.seed ^ i).standard_normal((4, d, d))
-        xy[:, :, i + 1] = r[0::2] + 1j * r[1::2]
+    xy[:, :, 1:] = _seeded_starts(cfg.seed, cfg.starts, d)[1]
     _unit_vectors(xy[:, :, 1:], xy[:, :, 1:])
     xy, q, used, cut = _alternate(b, xy, cfg.max_iterations, 1e-3 * cfg.phase_tolerance)
 

@@ -1,0 +1,64 @@
+"""tools/ab_bench.py summarizes paired benchmark runs by the gain rule."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "ab_bench.py"
+spec = importlib.util.spec_from_file_location("ab_bench", TOOL)
+ab_bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab_bench)
+
+PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 101.0]
+
+
+def test_quartiles_interpolate_between_order_statistics():
+    assert ab_bench.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert ab_bench.quartiles([1.0, 2.0, 3.0, 4.0]) == (1.75, 2.5, 3.25)
+    assert ab_bench.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_summary_claims_a_gain_past_the_parent_quartile_distance():
+    # parent quartiles 99.25..101, a spread of 1.75
+    change = [p + 3.0 for p in PARENT]
+    s = ab_bench.summarize(PARENT, change, "higher", 0.25)
+    assert s["parent"] == {"q1": 99.25, "median": 100.0, "q3": 101.0}
+    assert s["change"]["median"] == 103.0
+    assert (s["wins"], s["ties"], s["pairs"]) == (10, 0, 10)
+    assert s["gain"] and s["within_bound"]
+    # a gain inside the parent's spread is no gain, however many pairs it wins
+    s = ab_bench.summarize(PARENT, [p + 1.5 for p in PARENT], "higher", 0.25)
+    assert s["wins"] == 10 and not s["gain"]
+
+
+def test_summary_needs_nine_tenths_of_the_pairs_and_ties_count_for_neither():
+    change = [p + 3.0 for p in PARENT]
+    change[0] = PARENT[0]                    # a tie
+    s = ab_bench.summarize(PARENT, change, "higher", 0.25)
+    assert (s["wins"], s["ties"]) == (9, 1) and s["gain"]
+    change[1] = PARENT[1] - 1.0              # a loss
+    s = ab_bench.summarize(PARENT, change, "higher", 0.25)
+    assert s["wins"] == 8 and not s["gain"]
+
+
+def test_summary_reads_lower_as_better_and_checks_the_bound():
+    faster = [p - 3.0 for p in PARENT]
+    s = ab_bench.summarize(PARENT, faster, "lower", 0.05)
+    assert s["wins"] == 10 and s["gain"] and s["within_bound"]
+    s = ab_bench.summarize(PARENT, faster, "higher", 0.05)
+    assert s["wins"] == 0 and not s["gain"] and s["within_bound"]   # 3% worse
+    s = ab_bench.summarize(PARENT, [p * 1.06 for p in PARENT], "lower", 0.05)
+    assert not s["within_bound"]
+
+
+def test_summary_rejects_unpaired_runs():
+    with pytest.raises(ValueError):
+        ab_bench.summarize(PARENT, PARENT[:-1], "higher", 0.25)
+    with pytest.raises(ValueError):
+        ab_bench.summarize([], [], "higher", 0.25)
+
+
+def test_seeds_are_a_range_or_a_list():
+    assert ab_bench.parse_seeds("9-12") == [9, 10, 11, 12]
+    assert ab_bench.parse_seeds("1,5,2") == [1, 5, 2]

@@ -5,10 +5,19 @@ from grothq import InputValidationError, hermitian_eig, is_normal
 from grothq.ensembles import (
     complex_gaussian,
     random_density,
+    random_hermitian,
     random_normal_matrix,
     random_projector,
     random_unitary,
 )
+
+# every sampler, called with the dimension as its only free argument
+def random_rank_one_projector(rng, d):
+    return random_projector(rng, d, 1)
+
+
+SAMPLERS = (complex_gaussian, random_unitary, random_density, random_normal_matrix,
+            random_hermitian, random_rank_one_projector)
 
 
 def test_samplers_deterministic():
@@ -54,3 +63,14 @@ def test_random_projector_rank_follows_the_integer_rule():
     for rank in (True, 2.0):
         with pytest.raises(InputValidationError, match="^rank must be an integer"):
             random_projector(rng, 3, rank)
+
+
+@pytest.mark.parametrize("maker", SAMPLERS, ids=lambda maker: maker.__name__)
+def test_samplers_take_the_dimension_by_the_integer_rule(maker):
+    for d, message in ((0, "must be >= 1"), (-1, "must be >= 1"),
+                       (2.5, "must be an integer, got 2.5"),
+                       (True, "must be an integer, got True")):
+        with pytest.raises(InputValidationError, match=f"^dimension {message}$"):
+            maker(np.random.default_rng(0), d)
+    a = maker(np.random.default_rng(6), np.int64(3))
+    assert a.shape == (3, 3) and np.array_equal(a, maker(np.random.default_rng(6), 3))

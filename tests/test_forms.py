@@ -249,26 +249,50 @@ def _fresh_phases(seed, starts, d):
                                  for s in range(starts)]))
 
 
+def _fresh_vectors(seed, starts, d):
+    """max_q_lower's starts as a (2, d, starts, d) block: x = r[0] + i r[1] and
+    y = r[2] + i r[3] of start s at [:, :, s], r from a fresh generator."""
+    block = np.empty((2, d, starts, d), dtype=complex)
+    for s in range(starts):
+        r = np.random.default_rng(seed ^ s).standard_normal((4, d, d))
+        block[0, :, s], block[1, :, s] = r[0] + 1j * r[1], r[2] + 1j * r[3]
+    return block
+
+
 def test_seeded_phases_equal_fresh_per_start_draws():
     for seed, starts, d in ((0, 1, 2), (123, 16, 6), (2**40 + 5, 7, 3)):
         fresh = _fresh_phases(seed, starts, d)
-        phases = forms._seeded_phases(seed, starts, d)
+        phases = forms._seeded_starts(seed, starts, d)[0]
         assert phases.shape == (starts, d)
         assert phases.tobytes() == fresh.tobytes()
-        assert forms._seeded_phases(seed, starts, d) is phases
-        forms._seeded_phases.cache_clear()
-        assert forms._seeded_phases(seed, starts, d).tobytes() == fresh.tobytes()
+        assert forms._seeded_starts(seed, starts, d)[0] is phases
+        forms._seeded_starts.cache_clear()
+        assert forms._seeded_starts(seed, starts, d)[0].tobytes() == fresh.tobytes()
+
+
+def test_seeded_vectors_equal_fresh_per_start_draws():
+    # the phases are drawn first from the same generators, yet each block
+    # entry is what a fresh default_rng(seed ^ s) gives
+    for seed, starts, d in ((0, 1, 2), (123, 16, 6), (2**40 + 5, 7, 3)):
+        forms._seeded_starts.cache_clear()
+        vectors = forms._seeded_starts(seed, starts, d)[1]
+        assert vectors.shape == (2, d, starts, d) and vectors.flags.c_contiguous
+        assert vectors.tobytes() == _fresh_vectors(seed, starts, d).tobytes()
 
 
 def test_seeded_phases_are_read_only():
-    phases = forms._seeded_phases(9, 3, 4)
+    phases, vectors = forms._seeded_starts(9, 3, 4)
     with pytest.raises(ValueError):
         phases[0, 0] = 1.0
     with pytest.raises(ValueError):
         phases.T[1] *= 1j
+    with pytest.raises(ValueError):
+        vectors[0, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        vectors[1, :, 2] *= 1j
 
 
-def test_g_lower_draws_start_phases_once_per_config(monkeypatch):
+def _count_generators(monkeypatch):
     built = []
     default_rng = np.random.default_rng
 
@@ -276,21 +300,38 @@ def test_g_lower_draws_start_phases_once_per_config(monkeypatch):
         built.append(seed)
         return default_rng(seed)
 
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    return built
+
+
+def test_g_lower_draws_start_phases_once_per_config(monkeypatch):
     theta = complex_gaussian(np.random.default_rng(31), 4)
     cfg = OptimizerConfig(starts=5, seed=7010)
-    forms._seeded_phases.cache_clear()
+    forms._seeded_starts.cache_clear()
     g_lower(theta, cfg)
-    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    built = _count_generators(monkeypatch)
     g_lower(theta, cfg)
     assert built == []
     g_lower(theta, OptimizerConfig(starts=5, seed=7011))
     assert built == [7011 ^ s for s in range(5)]
 
 
+def test_max_q_lower_reuses_the_starts_drawn_for_g_lower(monkeypatch):
+    theta = complex_gaussian(np.random.default_rng(33), 5)
+    cfg = OptimizerConfig(starts=6, seed=7020)
+    forms._seeded_starts.cache_clear()
+    g_lower(theta, cfg)
+    built = _count_generators(monkeypatch)
+    max_q_lower(theta, cfg)
+    assert built == []
+    max_q_lower(theta, OptimizerConfig(starts=6, seed=7021))
+    assert built == [7021 ^ s for s in range(6)]
+
+
 def test_results_same_with_cold_and_warm_phase_cache():
     theta = complex_gaussian(np.random.default_rng(32), 6)
     cfg = OptimizerConfig(starts=8, seed=55)
-    forms._seeded_phases.cache_clear()
+    forms._seeded_starts.cache_clear()
     cold = g_lower(theta, cfg), classify(theta, cfg)
     warm = g_lower(theta, cfg), classify(theta, cfg)
     assert cold[0].per_start_values == warm[0].per_start_values

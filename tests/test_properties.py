@@ -191,6 +191,55 @@ def test_max_q_lower_matches_a_per_start_complex_alternation(theta, cfg, data):
     assert len(run.per_start_values) == len(reference)
 
 
+def unit_phases(z, keep):
+    """Each entry of z over its modulus (a zero entry takes the entry of
+    ``keep``), and the moduli; each entry is scaled by the power of two that
+    puts max(|Re|, |Im|) in [1/2, 1) first."""
+    top = np.maximum(abs(z.real), abs(z.imag))
+    nonzero = top > 0
+    k = np.frexp(top[nonzero])[1]
+    w = ldexp(z[nonzero], -k)
+    units, moduli = keep.astype(complex), np.zeros(z.size)
+    units[nonzero], moduli[nonzero] = w / abs(w), np.ldexp(abs(w), k)
+    return units, moduli
+
+
+def reference_g_values(theta, cfg):
+    """g_lower's per-start values from a plain phase alternation, one column
+    at a time: the same seeded columns (a start's phases and their
+    conjugates, each taken as s, so x = conj(s)), settle rule and round cap;
+    a start's value is the better of its two columns."""
+    b, e = pow2_normalize(theta)
+    d = b.shape[0]
+    phases = [np.exp(1j * np.random.default_rng(cfg.seed ^ k).uniform(-np.pi, np.pi, d))
+              for k in range(cfg.starts)]
+    values = []
+    for x in [p.conj() for p in phases] + phases:
+        y, q = np.ones(d, dtype=complex), -np.inf
+        for _ in range(d * cfg.max_iterations):
+            y = unit_phases(b.conj().T @ x, y)[0]
+            x, moduli = unit_phases(b @ y, x)
+            q, q_prev = moduli.sum(), q
+            if abs(q - q_prev) < 1e-3 * cfg.phase_tolerance:
+                break
+        values.append(np.ldexp(q, e))
+    return [max(values[k], values[k + cfg.starts]) for k in range(cfg.starts)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(matrices(), configs, st.data())
+def test_g_lower_matches_a_per_column_phase_alternation(theta, cfg, data):
+    d = theta.shape[0]
+    lines = st.lists(st.integers(0, d - 1), max_size=d - 1)
+    theta[data.draw(lines), :] = 0                     # zero moduli take the careful path,
+    theta[:, data.draw(lines)] = 0
+    theta[data.draw(lines), :] *= 1e-160              # and so do moduli below sqrt(tiny)
+    run = g_lower(theta, cfg)
+    reference = reference_g_values(theta, cfg)
+    assert all(close(v, r, 1e-12) for v, r in zip(run.per_start_values, reference))
+    assert len(run.per_start_values) == len(reference)
+
+
 def ldexp(m, k):
     """m * 2^k, entrywise on the real and imaginary parts."""
     return np.ldexp(m.real, k) + 1j * np.ldexp(m.imag, k)
