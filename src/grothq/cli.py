@@ -51,23 +51,18 @@ def cmd_phases(args, cfg):
 
 def cmd_states(args, cfg):
     family = states.build_family(args.dim)
-    which = args.check
     doc = {"dim": family.dim, "count": family.count,
            "recipe": [[int(p), int(k)] for p, k in family.recipe]}
     if family.dim >= 5:
         doc["note"] = ("construction beyond dim 4 is a conjectural extension; "
                        "checks report empirical results only")
-    if which in ("all", "resolution"):
-        doc["resolution_residual"] = states.resolution_check(family)
-    if which in ("all", "isotropy"):
-        ok, multisets = states.isotropy_check(family)
-        doc["isotropy"] = {"ok": ok, "multiset": [float(x) for x in multisets[0]]}
-    if which in ("all", "permutation"):
-        ok, _ = states.permutation_invariance_check(family)
-        doc["permutation_invariance"] = {"ok": ok}
-    if which == "all":
-        doc["overlap_power_sums"] = {
-            str(r): states.overlap_power_sum(family, 0, r) for r in (1, 2, 3, 4)}
+    doc["resolution_residual"] = states.resolution_check(family)
+    ok, multisets = states.isotropy_check(family)
+    doc["isotropy"] = {"ok": ok, "multiset": [float(x) for x in multisets[0]]}
+    ok, _ = states.permutation_invariance_check(family)
+    doc["permutation_invariance"] = {"ok": ok}
+    doc["overlap_power_sums"] = {
+        str(r): states.overlap_power_sum(family, 0, r) for r in (1, 2, 3, 4)}
     return doc
 
 
@@ -152,8 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_phases)
 
     p = sub.add_parser("states", parents=[dim], help="build a state family and run its checks")
-    p.add_argument("--check", choices=["all", "resolution", "isotropy", "permutation"],
-                   default="all")
     p.set_defaults(func=cmd_states)
 
     p = sub.add_parser("projector", parents=[dim],

@@ -169,6 +169,7 @@ _H6_ROWS = np.array([[1, 1, 0, 1, 1, 0],
                      [1, 0, 1, -1, 0, 1],
                      [0, 1, 1, 0, -1, -1]], dtype=float)
 _H6_GRAM = _H6_ROWS.T @ _H6_ROWS
+_H6_MAX_ROUNDS = 2000
 
 
 def _h6_component_sums(t: np.ndarray):
@@ -181,7 +182,7 @@ def _h6_norm_sq(t: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(t @ _H6_ROWS.T) ** 2, axis=-1) / 2.0
 
 
-def _h6_phase_ascent(t: np.ndarray, max_rounds: int = 2000):
+def _h6_phase_ascent(t: np.ndarray):
     """Maximize f(t) = ||A t||^2 / 2 from each row of t (points of the polydisc).
 
     Every round sets t <- phase(A^T A t) for all rows at once, keeping t_j where
@@ -189,10 +190,10 @@ def _h6_phase_ascent(t: np.ndarray, max_rounds: int = 2000):
     the polydisc, and f is convex, so f never decreases and its maximum lies on
     the torus.  Stops once no row's value moved by more than 1e-15 relative (a
     rule on "no row increased" would run to the cap on one-ulp flips), or after
-    ``max_rounds`` rounds.  Returns the final points and their values.
+    ``_H6_MAX_ROUNDS`` rounds.  Returns the final points and their values.
     """
     values = _h6_norm_sq(t)
-    for _ in range(max_rounds):
+    for _ in range(_H6_MAX_ROUNDS):
         g = t @ _H6_GRAM
         t = np.where(g != 0, np.exp(1j * np.angle(g)), t)
         previous, values = values, _h6_norm_sq(t)
@@ -328,7 +329,7 @@ def _rarity_sample(ensemble: str, dim: int, seed: int, index: int):
     (lower, upper, g_prime)): a certified bracket of g(theta), and g'(theta)."""
     rng = np.random.default_rng([seed, index])
     if ensemble == "scaled_projector":
-        if index == 0:
+        if index == 0 and dim == 6:
             # designated instance: Pi_6 scaled to its witness boundary, the known
             # region-entering example; g(Pi_6) lies in [w, 6] and g'(Pi_6) = 6
             pi = _projector_for(3)

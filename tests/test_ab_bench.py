@@ -26,7 +26,7 @@ def test_summary_claims_a_gain_past_the_parent_quartile_distance():
     assert s["parent"] == {"q1": 99.25, "median": 100.0, "q3": 101.0}
     assert s["change"]["median"] == 103.0
     assert (s["wins"], s["ties"], s["pairs"]) == (10, 0, 10)
-    assert s["gain"] and s["within_bound"]
+    assert s["gain"] and s["within_bound"] and not s["unresolved"]
     # a gain inside the parent's spread is no gain, however many pairs it wins
     s = ab_bench.summarize(PARENT, [p + 1.5 for p in PARENT], "higher", 0.25)
     assert s["wins"] == 10 and not s["gain"]
@@ -49,7 +49,31 @@ def test_summary_reads_lower_as_better_and_checks_the_bound():
     s = ab_bench.summarize(PARENT, faster, "higher", 0.05)
     assert s["wins"] == 0 and not s["gain"] and s["within_bound"]   # 3% worse
     s = ab_bench.summarize(PARENT, [p * 1.06 for p in PARENT], "lower", 0.05)
-    assert not s["within_bound"]
+    assert not s["within_bound"] and not s["unresolved"]
+
+
+# quartiles 91.25..108.75: a spread of 0.175 of the median, wider than a 0.05 bound
+WIDE = [80.0, 120.0, 90.0, 110.0, 100.0, 85.0, 115.0, 95.0, 105.0, 100.0]
+
+
+def test_summary_calls_a_spread_wider_than_the_bound_unresolved():
+    s = ab_bench.summarize(WIDE, [p + 1.0 for p in WIDE], "higher", 0.05)
+    assert s["spread"] == pytest.approx(0.175)
+    assert s["within_bound"] and s["unresolved"]
+    assert not ab_bench.summarize(WIDE, [p + 1.0 for p in WIDE], "higher", 0.25)["unresolved"]
+    # the wider of the two sides counts
+    s = ab_bench.summarize(PARENT, WIDE, "higher", 0.05)
+    assert s["spread"] == pytest.approx(0.175) and s["unresolved"]
+
+
+def test_summary_resolves_a_wide_spread_when_every_change_run_is_better():
+    s = ab_bench.summarize(WIDE, [p + 41.0 for p in WIDE], "higher", 0.05)
+    assert s["spread"] > 0.05 and not s["unresolved"]
+    s = ab_bench.summarize(WIDE, [p - 41.0 for p in WIDE], "lower", 0.05)
+    assert not s["unresolved"]
+    # one change run level with the best parent run is not better than every one
+    s = ab_bench.summarize(WIDE, [p + 40.0 for p in WIDE], "higher", 0.05)
+    assert s["unresolved"]
 
 
 def test_summary_rejects_unpaired_runs():

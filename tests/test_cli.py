@@ -256,7 +256,7 @@ def test_projector_decomposes_once_and_keeps_its_stdout(tmp_path, capsys, monkey
 
 
 def test_states_subcommand(capsys):
-    code, out = run_cli(capsys, ["states", "--dim", "4", "--check", "all"])
+    code, out = run_cli(capsys, ["states", "--dim", "4"])
     assert code == 0
     doc = json.loads(out)
     assert doc["count"] == 12
@@ -267,9 +267,36 @@ def test_states_subcommand(capsys):
 
 
 def test_states_checks_permutation_invariance_at_dim_7(capsys):
-    code, out = run_cli(capsys, ["states", "--dim", "7", "--check", "permutation"])
+    code, out = run_cli(capsys, ["states", "--dim", "7"])
     assert code == 0
     assert json.loads(out)["permutation_invariance"] == {"ok": False}
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_states_prints_every_check_at_every_dim(capsys, dim):
+    family = build_family(dim)
+    iso_ok, multisets = states.isotropy_check(family)
+    perm_ok, _ = states.permutation_invariance_check(family)
+    expected = {"dim": dim, "count": family.count,
+                "recipe": [[int(p), int(k)] for p, k in family.recipe]}
+    if dim >= 5:
+        expected["note"] = ("construction beyond dim 4 is a conjectural extension; "
+                            "checks report empirical results only")
+    expected["resolution_residual"] = states.resolution_check(family)
+    expected["isotropy"] = {"ok": iso_ok, "multiset": [float(x) for x in multisets[0]]}
+    expected["permutation_invariance"] = {"ok": perm_ok}
+    expected["overlap_power_sums"] = {
+        str(r): states.overlap_power_sum(family, 0, r) for r in (1, 2, 3, 4)}
+    code, out = run_cli(capsys, ["states", "--dim", str(dim)])
+    assert code == 0
+    assert out == json.dumps(expected) + "\n"
+
+
+def test_states_has_no_check_filter(capsys):
+    assert dispatch(["states", "--dim", "4", "--check", "all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --check all" in captured.err
 
 
 def test_classify_exit_2_on_a_non_square_matrix(tmp_path, capsys):
@@ -308,8 +335,9 @@ def test_cli_exit_2_on_a_dimension_or_sample_count_out_of_range(
     (["states", "--dim", "4"],
      ["dim", "count", "recipe", "resolution_residual", "isotropy",
       "permutation_invariance", "overlap_power_sums"]),
-    (["states", "--dim", "5", "--check", "permutation"],
-     ["dim", "count", "recipe", "note", "permutation_invariance"]),
+    (["states", "--dim", "5"],
+     ["dim", "count", "recipe", "note", "resolution_residual", "isotropy",
+      "permutation_invariance", "overlap_power_sums"]),
 ], ids=["gbound", "projector", "states", "states_dim5_permutation"])
 def test_cli_only_documents_keep_their_key_order(tmp_path, capsys, monkeypatch, argv, keys):
     monkeypatch.chdir(tmp_path)
@@ -522,8 +550,7 @@ def test_json_output_round_trips(tmp_path, capsys):
 
 def test_console_script_entry():
     proc = subprocess.run(
-        [sys.executable, "-m", "grothq.cli", "states", "--dim", "3",
-         "--check", "resolution"],
+        [sys.executable, "-m", "grothq.cli", "states", "--dim", "3"],
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["resolution_residual"] <= 1e-12

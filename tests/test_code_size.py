@@ -46,3 +46,22 @@ def test_counts_code_lines_and_settable_values(tmp_path, capsys):
     rows = capsys.readouterr().out.splitlines()
     assert rows[1].split() == ["mod.py", "11", "6"]
     assert rows[-1].split() == ["total", "11", "6"]
+
+
+CLI_SOURCE = '''import argparse
+
+parser = argparse.ArgumentParser()
+parser.add_argument("--seed", type=int, default=None)
+parser.add_argument("--out")
+parser.add_argument("--matrix", required=True)
+parser.add_argument("--dim", type=int, required=False)
+parser.add_argument("path")
+parser.add_argument("-v", action="store_true")
+'''
+
+
+def test_counts_each_optional_long_flag_as_a_settable_value(tmp_path):
+    path = tmp_path / "cli.py"
+    path.write_text(CLI_SOURCE)
+    # --seed, --out, --dim; not the required --matrix, the positional or -v
+    assert code_size.settable_values(path) == 3

@@ -226,6 +226,14 @@ def test_rarity_scaled_projector_hits_region():
     assert stats.max_q_seen <= 1.4049 + 1e-9
 
 
+def test_rarity_scaled_projector_draws_pi6_at_dim_6_only():
+    records = []
+    stats = run_rarity("scaled_projector", samples=2, seed=0, starts=2, dim=3,
+                       sink=records.append)
+    assert [(rec["dim"], rec["matrix"]) for rec in records] == [(3, "random_projector")] * 2
+    assert stats.dim == 3
+
+
 def test_rarity_random_normal_region_consistency():
     records = []
     stats = run_rarity("random_normal", samples=40, seed=7, starts=4,

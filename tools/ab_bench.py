@@ -16,9 +16,11 @@ each side's median and quartiles, the pairs the change wins (ties count for
 neither side), whether the change's median stays within the metric's bound
 of the parent's, and whether the pairs support claiming a gain: the change
 wins at least nine tenths of the pairs, and its median is better than the
-parent's by more than the distance between the parent's quartiles.  It also
-prints the items attempted and failed on each side.  It reads the benchmark
-and changes nothing in either checkout.
+parent's by more than the distance between the parent's quartiles.  A
+metric whose run-to-run spread is wider than its bound is printed as
+unresolved in place of the bound check, unless every change run beats every
+parent run.  It also prints the items attempted and failed on each side.  It
+reads the benchmark and changes nothing in either checkout.
 """
 
 import argparse
@@ -45,7 +47,12 @@ def summarize(parent, change, better, bound):
     """Summary of one metric over paired runs: ``parent[i]`` and ``change[i]``
     come from pair i, ``better`` is "higher" or "lower", and ``bound`` the
     largest share of the parent's median by which the change's median may be
-    worse."""
+    worse.
+
+    ``unresolved``: the spread, the larger of the two sides' quartile
+    distances as a share of the parent's median, is wider than ``bound``, and
+    not every change run beats every parent run; the bound check then says
+    nothing."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same, non-zero number of runs on each side")
     sign = 1.0 if better == "higher" else -1.0
@@ -53,6 +60,8 @@ def summarize(parent, change, better, bound):
     c1, c_med, c3 = quartiles(change)
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     ties = sum(c == p for p, c in zip(parent, change))
+    spread = max(p3 - p1, c3 - c1) / abs(p_med)
+    all_better = all(sign * (c - p) > 0 for p in parent for c in change)
     return {
         "pairs": len(parent),
         "parent": {"q1": p1, "median": p_med, "q3": p3},
@@ -61,6 +70,8 @@ def summarize(parent, change, better, bound):
         "ties": ties,
         "within_bound": sign * (c_med - p_med) >= -bound * abs(p_med),
         "gain": wins >= WIN_SHARE * len(parent) and sign * (c_med - p_med) > p3 - p1,
+        "spread": spread,
+        "unresolved": spread > bound and not all_better,
     }
 
 
@@ -109,11 +120,14 @@ def main(argv=None):
                           [r["metrics"][name]["value"] for r in runs["change"]],
                           metric["better"], metric["bound"])
             par, chg = s["parent"], s["change"]
+            check = (f"unresolved: spread {s['spread']:.3g} > bound {metric['bound']:g}"
+                     if s["unresolved"] else
+                     f"within bound {metric['bound']:g}: {'yes' if s['within_bound'] else 'NO'}")
             print(f"  {name} ({metric['unit']}, {metric['better']} is better): "
                   f"parent {par['median']:.6g} [{par['q1']:.6g}, {par['q3']:.6g}], "
                   f"change {chg['median']:.6g} [{chg['q1']:.6g}, {chg['q3']:.6g}]; "
                   f"change wins {s['wins']} of {s['pairs']} ({s['ties']} ties); "
-                  f"within bound {metric['bound']:g}: {'yes' if s['within_bound'] else 'NO'}; "
+                  f"{check}; "
                   f"gain: {'yes' if s['gain'] else 'no'}")
 
 

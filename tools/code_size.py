@@ -6,8 +6,10 @@ Prints one row per module and a total row:
   code lines       lines holding a token other than a comment, with blank
                    lines and the lines of module, class and function
                    docstrings left out;
-  settable values  parameters with a default plus dataclass fields with a
-                   default.
+  settable values  parameters with a default, dataclass fields with a
+                   default, and optional command-line flags: ``add_argument``
+                   calls whose first argument starts with ``--`` and which
+                   do not pass ``required=True``.
 Standard library only (``ast``, ``tokenize``).
 """
 
@@ -49,6 +51,15 @@ def _is_dataclass(node) -> bool:
     return False
 
 
+def _is_optional_flag(node) -> bool:
+    if not (isinstance(node.func, ast.Attribute) and node.func.attr == "add_argument"
+            and node.args and isinstance(node.args[0], ast.Constant)
+            and str(node.args[0].value).startswith("--")):
+        return False
+    return not any(kw.arg == "required" and isinstance(kw.value, ast.Constant)
+                   and kw.value.value is True for kw in node.keywords)
+
+
 def settable_values(path) -> int:
     count = 0
     for node in ast.walk(ast.parse(Path(path).read_bytes())):
@@ -58,6 +69,8 @@ def settable_values(path) -> int:
         elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
             count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
                          for s in node.body)
+        elif isinstance(node, ast.Call) and _is_optional_flag(node):
+            count += 1
     return count
 
 
