@@ -383,6 +383,13 @@ def _alternate(b, xy, cap, threshold):
     column's product differently at another block width.  Where a norm is
     below ``_SMALL``, the half-step goes through ``_unit_scalars`` or
     ``_unit_vectors`` instead, which scale first.
+
+    Each round's two underflow tests and its settle test read the one element
+    that ``argmin`` finds in the norms or the gains, which is cheaper than a
+    ufunc reduction on arrays this small.  ``argmin`` returns the first NaN,
+    so a NaN norm still takes the careful unit step and a NaN gain never
+    settles; it raises on an empty array, but the block is never empty
+    inside the loop.
     """
     vectors = xy.ndim == 4
     unit = _unit_vectors if vectors else _unit_scalars
@@ -411,6 +418,7 @@ def _alternate(b, xy, cap, threshold):
             den = np.zeros((d, width), dtype=complex)
             num, norms = z, den.real
             steps = ((b_h, x, y, y), (b, y, x, x))
+        flat = norms.reshape(-1)                     # a view, strided for scalars
         while rounds < cap:
             rounds += 1
             for a, src, dst, dst_num in steps:
@@ -420,14 +428,14 @@ def _alternate(b, xy, cap, threshold):
                     np.sqrt(norms, out=norms)
                 else:
                     np.abs(z, out=norms)
-                if np.minimum.reduce(norms, axis=None) >= _SMALL:
+                if flat[flat.argmin()] >= _SMALL:
                     np.divide(num, den, out=dst_num)
                 else:
                     norms[...] = unit(z.reshape(dst.shape), dst)
             np.add.reduce(norms, axis=0, out=q_next)
             np.subtract(q_next, q, out=gain)
             q, q_next = q_next, q
-            if np.minimum.reduce(gain) < threshold:   # needed for any |gain| < threshold
+            if gain[gain.argmin()] < threshold:     # needed for any |gain| < threshold
                 # write the block back by index, then drop the settled starts
                 out[:, :, live], q_out[live], used[live] = xy, q, rounds
                 keep = np.abs(gain) >= threshold

@@ -1,6 +1,8 @@
 """tools/ab_bench.py summarizes paired benchmark runs by the gain rule."""
 
 import importlib.util
+import json
+import py_compile
 from pathlib import Path
 
 import pytest
@@ -86,3 +88,42 @@ def test_summary_rejects_unpaired_runs():
 def test_seeds_are_a_range_or_a_list():
     assert ab_bench.parse_seeds("9-12") == [9, 10, 11, 12]
     assert ab_bench.parse_seeds("1,5,2") == [1, 5, 2]
+
+
+def checkout_with_bytecode(root):
+    """A checkout with four grothq modules: ``timestamp`` and ``hashed`` have
+    current bytecode, ``edited`` changed after it was compiled and ``fresh``
+    was never compiled."""
+    package = root / "src" / "grothq"
+    package.mkdir(parents=True)
+    for name in ("timestamp", "hashed", "edited", "fresh"):
+        (package / f"{name}.py").write_text(f"NAME = {name!r}\n")
+    for name, mode in (("timestamp", "TIMESTAMP"), ("hashed", "CHECKED_HASH"),
+                       ("edited", "TIMESTAMP")):
+        py_compile.compile(str(package / f"{name}.py"), doraise=True,
+                           invalidation_mode=getattr(py_compile.PycInvalidationMode, mode))
+    (package / "edited.py").write_text("NAME = 'edited again'\n")
+    return root
+
+
+def test_stale_modules_names_the_sources_without_current_bytecode(tmp_path):
+    root = checkout_with_bytecode(tmp_path)
+    assert ab_bench.stale_modules(root) == ["src/grothq/edited.py", "src/grothq/fresh.py"]
+    assert ab_bench.stale_modules(tmp_path / "elsewhere") == []
+
+
+def test_main_warns_about_each_side_before_the_pairs(tmp_path, monkeypatch, capsys):
+    parent = checkout_with_bytecode(tmp_path / "parent")
+    change = tmp_path / "change"
+    (change / "src" / "grothq").mkdir(parents=True)
+    metric = {"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "w"}], "end_to_end": [metric]}))
+    result = {"attempted": 1, "failed": 0, "metrics": {"items_per_s": {"value": 1.0}}}
+    monkeypatch.setattr(ab_bench, "run_once", lambda *args: result)
+    ab_bench.main([str(parent), str(change), "--seeds", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("warning: parent has no current bytecode for "
+                               "src/grothq/edited.py, src/grothq/fresh.py;")
+    assert lines[1].startswith("w: 1 pairs")
+    assert not any("change has" in line for line in lines)

@@ -441,6 +441,51 @@ def test_no_start_settles_in_its_first_round():
         assert min(run.iterations_used) >= 2
 
 
+def kernel_blocks(theta, cfg):
+    """theta normalized, and two blocks for ``forms._alternate``: a scalar
+    (2, d, 3) and a vector (2, d, 3, d) block.  Columns 0 and 1 are seeded
+    starts, and the last is g_lower's settled witness, x = conj(s) and y = t,
+    which the vector block embeds on its first component as max_q_lower does."""
+    b = pow2_normalize(theta)[0]
+    d = b.shape[0]
+    s, t = g_lower(b, cfg).best_witness
+    phases, vectors = forms._seeded_starts(cfg.seed, 2, d)
+    scalars = np.ones((2, d, 3), dtype=complex)
+    scalars[0, :, :2] = phases.T.conj()
+    scalars[:, :, 2] = s.values.conj(), t.values
+    blocks = np.zeros((2, d, 3, d), dtype=complex)
+    blocks[:, :, :2] = vectors
+    forms._unit_vectors(blocks[:, :, :2], blocks[:, :, :2])
+    blocks[:, :, 2, 0] = s.values.conj(), t.values
+    return b, scalars, blocks
+
+
+def test_the_settle_decision_sees_every_column():
+    # the settled witness is the last column: a round that looked at the
+    # first column's gain alone would keep it in the block past round 2
+    b, scalars, blocks = kernel_blocks(complex_gaussian(np.random.default_rng(1), 5), SMALL)
+    threshold = 1e-3 * SMALL.phase_tolerance
+    for xy, cap in ((scalars, 5 * SMALL.max_iterations), (blocks, SMALL.max_iterations)):
+        _, _, used, cut = forms._alternate(b, xy, cap, threshold)
+        assert used[-1] == 2
+        assert (used[:-1] > 2).all()
+        assert cut.size == 0
+
+
+def test_the_kernel_keeps_its_fast_unit_step_without_tiny_norms(monkeypatch):
+    # every norm of a Gaussian's products is far above _SMALL, so each
+    # half-step divides in place, without the careful unit steps
+    b, scalars, blocks = kernel_blocks(complex_gaussian(np.random.default_rng(2), 6), SMALL)
+    calls = []
+    for name in ("_unit_scalars", "_unit_vectors"):
+        step = getattr(forms, name)
+        monkeypatch.setattr(forms, name,
+                            lambda z, out, name=name, step=step: calls.append(name) or step(z, out))
+    for xy in (scalars, blocks):
+        forms._alternate(b, xy, SMALL.max_iterations, 1e-3 * SMALL.phase_tolerance)
+    assert calls == []
+
+
 @pytest.mark.parametrize("field, value", [
     ("starts", 0), ("seed", -1), ("max_iterations", 0), ("phase_tolerance", 0.0)])
 def test_optimizer_config_rejects_out_of_range(field, value):

@@ -5,6 +5,7 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -240,6 +241,22 @@ def test_g_lower_matches_a_per_column_phase_alternation(theta, cfg, data):
     reference = reference_g_values(theta, cfg)
     assert all(close(v, r, 1e-12) for v, r in zip(run.per_start_values, reference))
     assert len(run.per_start_values) == len(reference)
+
+
+@pytest.mark.parametrize("d", range(3, 7))
+@pytest.mark.parametrize("axis", [0, 1])
+def test_a_zero_last_line_takes_the_careful_unit_step(d, axis):
+    # only the last row (or column) of each product's norms is 0: the
+    # underflow check must see it, or the fast step divides 0 by 0, and
+    # RuntimeWarnings are errors in this suite
+    theta = complex_gaussian(np.random.default_rng(d), d)
+    theta[(-1, slice(None)) if axis == 0 else (slice(None), -1)] = 0
+    cfg = OptimizerConfig(starts=4, seed=d)
+    for optimizer, reference in ((g_lower, reference_g_values),
+                                 (max_q_lower, reference_max_q_values)):
+        values, expected = optimizer(theta, cfg).per_start_values, reference(theta, cfg)
+        assert len(values) == len(expected)
+        assert all(close(v, r, 1e-12) for v, r in zip(values, expected))
 
 
 def ldexp(m, k):

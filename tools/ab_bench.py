@@ -21,11 +21,18 @@ metric whose run-to-run spread is wider than its bound is printed as
 unresolved in place of the bound check, unless every change run beats every
 parent run.  It also prints the items attempted and failed on each side.  It
 reads the benchmark and changes nothing in either checkout.
+
+Before the pairs it warns about each side whose ``src/grothq`` modules lack
+current bytecode.  Where bytecode is not written (PYTHONDONTWRITEBYTECODE),
+every import of grothq compiles those modules again, and ``setup_s`` counts
+that time, so only checkouts whose bytecode is in the same state compare.
 """
 
 import argparse
+import importlib.util
 import json
 import statistics
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -83,6 +90,28 @@ def parse_seeds(text):
     return [int(part) for part in text.split(",")]
 
 
+def stale_modules(checkout):
+    """The sources in ``src/grothq`` of a checkout, relative to it, whose
+    cached bytecode is missing or was compiled from another version: its
+    header holds another magic number, or another source mtime and size (or,
+    in a hash-based pyc, another source hash)."""
+    checkout = Path(checkout)
+    stale = []
+    for source in sorted((checkout / "src" / "grothq").glob("*.py")):
+        try:
+            header = Path(importlib.util.cache_from_source(source)).read_bytes()[:16]
+        except OSError:
+            header = b""
+        if int.from_bytes(header[4:8], "little") & 1:
+            key = importlib.util.source_hash(source.read_bytes())
+        else:
+            st = source.stat()
+            key = struct.pack("<II", int(st.st_mtime) & 0xFFFFFFFF, st.st_size & 0xFFFFFFFF)
+        if header[:4] != importlib.util.MAGIC_NUMBER or header[8:16] != key:
+            stale.append(str(source.relative_to(checkout)))
+    return stale
+
+
 def run_once(checkout, workload, seed, seconds):
     """The JSON result (the last line of stdout) of one untraced run."""
     proc = subprocess.run(
@@ -103,6 +132,11 @@ def main(argv=None):
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = spec["end_to_end"]
+    for side in ("parent", "change"):
+        stale = stale_modules(getattr(args, side))
+        if stale:
+            print(f"warning: {side} has no current bytecode for {', '.join(stale)}; "
+                  f"setup_s counts their compilation wherever bytecode is not written")
     for workload in args.workloads or [w["name"] for w in spec["workloads"]]:
         runs = {"parent": [], "change": []}
         for i, seed in enumerate(args.seeds):
