@@ -325,8 +325,13 @@ RARITY_ENSEMBLES = ("scaled_projector", "random_normal", "random_general")
 
 
 def _rarity_sample(ensemble: str, dim: int, seed: int, index: int):
-    """Draw one certified-unit-set matrix theta; returns (theta, record_fields,
-    (lower, upper, g_prime)): a certified bracket of g(theta), and g'(theta)."""
+    """Draw one matrix theta scaled onto the polydisc unit-set boundary;
+    returns (theta, record_fields, (lower, upper, g_prime)): the bracket of
+    g(theta) that the draw knows, and g'(theta).  The random ensembles' (0, 1)
+    holds for m over its exact bound, not for the stored theta: m / scale
+    rounds each entry, and on 104 of 200 random_normal samples at seed 1 the
+    stored theta's closed form min(||theta||_1, d s_max) has no exact proof
+    of being at most 1 (see the provable-verdicts item of ROADMAP.md)."""
     rng = np.random.default_rng([seed, index])
     if ensemble == "scaled_projector":
         if index == 0 and dim == 6:

@@ -63,6 +63,8 @@ __all__ = [
 K_G_UPPER = 1.4049
 
 _SMALL = np.sqrt(np.finfo(float).tiny)   # below it, squared moduli underflow
+_SETTLE_GAIN = 1e-13                     # a start settles once a round gains less, on
+                                         # theta scaled by pow2_normalize
 _START_CACHE_SIZE = 32                   # (seed, starts, d) start sets kept by _seeded_starts
 
 
@@ -224,22 +226,18 @@ def g_upper(theta) -> float:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Multistart configuration shared by the polydisc and vector optimizers;
-    frozen, because every run it makes holds it."""
+    """Multistart configuration shared by the polydisc and vector optimizers:
+    the settings a caller chooses (when a start settles is the module's
+    ``_SETTLE_GAIN``, not a setting); frozen, because every run it makes
+    holds it."""
     starts: int = 64
     seed: int = 0
     max_iterations: int = 200       # alternation cap (g_lower: d times this many rounds)
-    phase_tolerance: float = 1e-10  # a start settles once a round changes its value by less
-                                    # than 1e-3 times this, on theta scaled by pow2_normalize
 
     def __post_init__(self):
-        # stored as plain int and float, so that a run's to_dict() is JSON
+        # stored as plain int, so that a run's to_dict() is JSON
         for name, minimum in (("starts", 1), ("seed", 0), ("max_iterations", 1)):
             object.__setattr__(self, name, require_int(getattr(self, name), name, minimum))
-        tol = require_real(self.phase_tolerance, "phase_tolerance")
-        if tol <= 0:
-            raise InputValidationError("phase_tolerance must be positive")
-        object.__setattr__(self, "phase_tolerance", tol)
 
 
 @dataclass(frozen=True)
@@ -250,7 +248,7 @@ class OptimizerRun:
     ``_alternate``, the starts on its axis 2: ``g_lower`` a (2, d, 2 * starts)
     block of phases, ``max_q_lower`` a (2, d, starts + 1, d) block of vectors,
     each on the last axis.  A start settles once a round changes its
-    value by less than 1e-3 * phase_tolerance.  ``per_start_values`` and
+    value by less than ``_SETTLE_GAIN``.  ``per_start_values`` and
     ``iterations_used``, in start order: each start's value, and its rounds
     until it settled or the round cap cut it; no start settles in its first
     round, so with ``max_iterations`` >= 2 each reports at least 2.
@@ -454,7 +452,7 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
     F(t) = sum_i |(theta t)_i|.  Each seeded start runs as two columns of
     a complex (2, d, 2 * starts) block (its phases and their conjugates, each
     taken as s) on theta scaled by ``pow2_normalize``; a column stops once a
-    round changes F by less than 1e-3 * ``phase_tolerance``, or after
+    round changes F by less than ``_SETTLE_GAIN``, or after
     d * ``max_iterations`` rounds.  When the phases of theta split as
     chi_i + psi_j (``phase_system_solvable``), t = exp(-i psi) attains
     ||theta||_1 and is the witness unless a column beats it.  The result is
@@ -474,7 +472,7 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
     # its start where a column of theta is zero
     xy = np.ones((2, d, 2 * n), dtype=complex)
     xy[0] = np.hstack([seeded.conj(), seeded])
-    xy, q, used, cut = _alternate(b, xy, d * cfg.max_iterations, 1e-3 * cfg.phase_tolerance)
+    xy, q, used, cut = _alternate(b, xy, d * cfg.max_iterations, _SETTLE_GAIN)
 
     t_best = xy[1, :, int(q.argmax())]               # deterministic tie-break on column index
     split = phase_system_solvable(b)
@@ -518,7 +516,7 @@ def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun
     xy[:, :, 0, 0] = s_w.values.conj(), t_w.values   # start 0: g_lower's witness
     xy[:, :, 1:] = _seeded_starts(cfg.seed, cfg.starts, d)[1]
     _unit_vectors(xy[:, :, 1:], xy[:, :, 1:])
-    xy, q, used, cut = _alternate(b, xy, cfg.max_iterations, 1e-3 * cfg.phase_tolerance)
+    xy, q, used, cut = _alternate(b, xy, cfg.max_iterations, _SETTLE_GAIN)
 
     best = int(q.argmax())
     # every row of the block is a unit vector: _unit_vectors keeps a row's
@@ -662,6 +660,10 @@ def classify(theta, config: Optional[OptimizerConfig] = None) -> GClassification
     computable); the polydisc set is certified only when a bound crosses 1:
     upper bound at most 1 certifies membership, a witness above 1 certifies
     exclusion, anything else is reported unknown together with the bracket.
+    ``scaling`` holds 1/g', 1/g_lower and 1/g_upper, each rounded to
+    nearest: ``lambda_max_certified_in_G`` is an estimate of the largest
+    scale the upper bound certifies, not a certificate itself (lambda * g
+    can pass 1 by rounding; see the provable-verdicts item of ROADMAP.md).
     """
     a = require_square(theta)
     d = a.shape[0]

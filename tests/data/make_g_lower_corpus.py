@@ -18,6 +18,7 @@ the overlap projectors Pi_6 and Pi_12, and rank-one matrices at d = 2..8.
 
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -69,9 +70,7 @@ def main():
         entries.append({
             "family": family,
             "matrix": matrix_to_dict(m),
-            "config": {"starts": cfg.starts, "seed": cfg.seed,
-                       "max_iterations": cfg.max_iterations,
-                       "phase_tolerance": cfg.phase_tolerance},
+            "config": asdict(cfg),
             "best_value": run.best_value,
         })
     head = {"generator": "tests/data/make_g_lower_corpus.py",

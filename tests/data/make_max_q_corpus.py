@@ -21,6 +21,7 @@ rank-one matrices at d = 2..8, and matrices with a zero row and a zero column.
 
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -77,9 +78,7 @@ def main():
         entries.append({
             "family": family,
             "matrix": matrix_to_dict(m),
-            "config": {"starts": cfg.starts, "seed": cfg.seed,
-                       "max_iterations": cfg.max_iterations,
-                       "phase_tolerance": cfg.phase_tolerance},
+            "config": asdict(cfg),
             "best_value": run.best_value,
             "per_start_values": run.per_start_values,
             "stop_reason": run.stop_reason,

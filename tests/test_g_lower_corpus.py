@@ -9,13 +9,32 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from grothq import OptimizerConfig, eval_C, g_lower, matrix_from_dict
+from grothq import OptimizerConfig, eval_C, forms, g_lower, matrix_from_dict
+from grothq.ensembles import complex_gaussian
 
 DATA = Path(__file__).parent / "data"
 CORPUS = json.loads((DATA / "g_lower_corpus.json").read_text())
 ENTRIES = CORPUS["entries"]
+
+
+def frozen_config(entry) -> OptimizerConfig:
+    """The entry's OptimizerConfig.  Each entry also stores the
+    ``phase_tolerance`` its run was made with, a config field then: 1e-3
+    times it was the settle gain, now the kernel's constant
+    ``forms._SETTLE_GAIN``, so the frozen values pin that constant."""
+    config = dict(entry["config"])
+    assert 1e-3 * config.pop("phase_tolerance") == forms._SETTLE_GAIN
+    return OptimizerConfig(**config)
+
+
+def load_generator():
+    spec = importlib.util.spec_from_file_location("generator", DATA / "make_g_lower_corpus.py")
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    return generator
 
 
 def test_corpus_covers_every_family():
@@ -29,19 +48,30 @@ def test_corpus_covers_every_family():
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e["family"])
 def test_g_lower_not_below_frozen_value(entry):
     theta = matrix_from_dict(entry["matrix"])
-    run = g_lower(theta, OptimizerConfig(**entry["config"]))
+    run = g_lower(theta, frozen_config(entry))
     assert run.best_value >= entry["best_value"] * (1 - 1e-12)
     s, t = run.best_witness
     assert eval_C(theta, s, t) == pytest.approx(run.best_value, rel=1e-12)
 
 
 def test_generator_refuses_to_overwrite_a_corpus(tmp_path, capsys):
-    spec = importlib.util.spec_from_file_location("generator", DATA / "make_g_lower_corpus.py")
-    generator = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generator)
+    generator = load_generator()
     frozen = tmp_path / "g_lower_corpus.json"
     frozen.write_text('{"entries": []}')
     generator.OUT = frozen
     assert generator.main() == 1
     assert str(frozen) in capsys.readouterr().err
     assert frozen.read_text() == '{"entries": []}'
+
+
+def test_generator_writes_entries_that_build_a_config(tmp_path, monkeypatch):
+    generator = load_generator()
+    out = tmp_path / "g_lower_corpus.json"
+    cfg = OptimizerConfig(starts=2, seed=1, max_iterations=20)
+    theta = complex_gaussian(np.random.default_rng(0), 3)
+    monkeypatch.setattr(generator, "OUT", out)
+    monkeypatch.setattr(generator, "cases", lambda: iter([("complex_gaussian", theta, cfg)]))
+    assert generator.main() == 0
+    (entry,) = json.loads(out.read_text())["entries"]
+    assert OptimizerConfig(**entry["config"]) == cfg
+    assert entry["best_value"] == g_lower(theta, cfg).best_value

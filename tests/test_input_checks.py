@@ -89,18 +89,19 @@ INTEGERS = {
     "matrix_from_dict.cols": (lambda v: _one_by_one(1, v), 1),
 }
 REALS = {
-    "OptimizerConfig.phase_tolerance": (lambda v: _g_lower(phase_tolerance=v), 1e-9),
     "kg_region_check.q": (kg_region_check, 1.2),
     "run_h6.lambda": (lambda v: run_h6(v).to_dict(), 0.1),
     "run_h12.lambda": (lambda v: run_h12(v).to_dict(), 0.05),
 }
 
 
-# 2.5 is a valid real, so the real parameters are fed nan in its place
+# 2.5 is a valid real, so the real parameters are fed nan, and an int past
+# the float range, in its place
 @pytest.mark.parametrize("call, valid, numpy_type, bad_values", [
     *(pytest.param(call, valid, np.int64, (True, 2.5, "3", np.True_), id=name)
       for name, (call, valid) in INTEGERS.items()),
-    *(pytest.param(call, valid, np.float64, (True, float("nan"), "3", np.True_), id=name)
+    *(pytest.param(call, valid, np.float64, (True, float("nan"), 10**400, "3", np.True_),
+                   id=name)
       for name, (call, valid) in REALS.items()),
 ])
 def test_scalar_parameters_follow_one_rule(call, valid, numpy_type, bad_values):
@@ -139,8 +140,6 @@ RANGES = {
     "kg_region_check.inf": (lambda: kg_region_check(float("inf")),
                              "^q must be a finite real, got inf$"),
     "run_h6.lambda_range": (lambda: run_h6(0.5), "outside the admissible range"),
-    "OptimizerConfig.phase_tolerance_sign": (lambda: OptimizerConfig(phase_tolerance=-1.0),
-                                              "^phase_tolerance must be positive$"),
 }
 
 

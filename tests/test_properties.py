@@ -32,8 +32,8 @@ from grothq import experiments
 from grothq.ensembles import complex_gaussian
 from grothq.experiments import _h6_norm_sq, _h6_phase_ascent
 from grothq.forms import (
-    G_PRIME_TOL, PHASE_TOL, _witness_dual, classify, closed_form_bounds, g_prime,
-    unit_set_verdicts)
+    G_PRIME_TOL, PHASE_TOL, _SETTLE_GAIN, _witness_dual, classify, closed_form_bounds,
+    g_prime, unit_set_verdicts)
 from grothq.linalg import pow2_normalize, pow2_scale, pow2_split
 
 # derandomized so that every run of the suite checks the same examples
@@ -120,6 +120,15 @@ def test_max_q_lower_dominates_g_lower(theta, cfg):
     assert max_q_lower(theta, cfg).best_value >= scalar * (1 - 1e-12) - 1e-12 * TINY
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(matrices(), configs)
+def test_max_q_lower_below_the_closed_form(theta, cfg):
+    # Q_sup(theta) <= min(||theta||_1, d s_max): each term of Tr(theta Y X^H)
+    # is at most |theta_ij|, and |Tr(theta Y X^H)| <= s_max ||X||_F ||Y||_F <= d s_max
+    upper = closed_form_bounds(theta)["g_upper"]
+    assert max_q_lower(theta, cfg).best_value <= upper * (1 + 1e-12) + 1e-12 * TINY
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(matrices(), st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**16))
 def test_max_q_lower_starts_are_independent(theta, k, extra, seed):
@@ -174,7 +183,7 @@ def reference_max_q_values(theta, cfg):
             y = unit_rows(b.conj().T @ x, y)[0]
             x, norms = unit_rows(b @ y, x)
             q, q_prev = norms.sum(), q
-            if abs(q - q_prev) < 1e-3 * cfg.phase_tolerance:
+            if abs(q - q_prev) < _SETTLE_GAIN:
                 break
         values.append(np.ldexp(q, e))
     return values
@@ -223,7 +232,7 @@ def reference_g_values(theta, cfg):
             y = unit_phases(b.conj().T @ x, y)[0]
             x, moduli = unit_phases(b @ y, x)
             q, q_prev = moduli.sum(), q
-            if abs(q - q_prev) < 1e-3 * cfg.phase_tolerance:
+            if abs(q - q_prev) < _SETTLE_GAIN:
                 break
         values.append(np.ldexp(q, e))
     return [max(values[k], values[k + cfg.starts]) for k in range(cfg.starts)]

@@ -17,10 +17,10 @@ from grothq import (
 )
 from grothq.experiments import run_rarity
 
-RUN_KEYS = ["starts", "seed", "max_iterations", "phase_tolerance", "best_value",
+RUN_KEYS = ["starts", "seed", "max_iterations", "best_value",
             "converged_fraction", "iterations_used", "stop_reason", "witness"]
 THETA = np.array([[1, 2j], [0.5, -1]])
-CFG = OptimizerConfig(starts=3, seed=5, max_iterations=7, phase_tolerance=1e-9)
+CFG = OptimizerConfig(starts=3, seed=5, max_iterations=7)
 
 
 def _pairs(z):
@@ -65,11 +65,10 @@ def test_norm_report_keys():
 @pytest.mark.parametrize("theta", [np.array([[1, 2j], [0.5, -1]]), np.zeros((2, 2))],
                          ids=["general", "zero"])
 def test_optimizer_run_keys(optimizer, theta):
-    cfg = OptimizerConfig(starts=3, seed=5, max_iterations=7, phase_tolerance=1e-9)
-    doc = optimizer(theta, cfg).to_dict()
+    doc = optimizer(theta, CFG).to_dict()
     assert list(doc) == RUN_KEYS
     assert list(doc["witness"]) == ["s", "t"]
-    assert [doc[k] for k in RUN_KEYS[:4]] == [3, 5, 7, 1e-9]
+    assert [doc[k] for k in RUN_KEYS[:3]] == [3, 5, 7]
 
 
 def test_classify_keys_and_witness_pairs():
