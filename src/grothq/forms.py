@@ -560,15 +560,37 @@ def phase_system_solvable(theta) -> PhaseSystemReport:
     The system is solvable iff every edge then closes modulo 2 pi within
     ``PHASE_TOL`` radians; then g(theta) = ||theta||_1, with the forest values
     as witness.  NumPy reads the support once (one ``np.nonzero``, then one
-    ``np.angle``, i.e. ``arctan2(imag, real)``, of the nonzero entries); the
-    rest is O(d + nnz) Python on scalars: the BFS stops once every
-    non-isolated vertex has a value, and the edge check stops at the first
-    edge that does not close.
+    ``np.angle``, i.e. ``arctan2(imag, real)``, of the nonzero entries).
+
+    On a dense support (no zero entry) the BFS from row 0 visits the star of
+    row 0 and then the star of column 0, so it sets psi_j = arg theta_0j and
+    chi_i = arg theta_i0 - arg theta_00, with chi_0 = 0; NumPy evaluates
+    these same float expressions, then checks every edge's gap in one pass
+    (``np.rint`` rounds half to even, as ``round`` does), so the report is
+    bit-identical to the BFS's.  Any other support runs O(d + nnz)
+    Python on scalars: the BFS stops once every non-isolated vertex has a
+    value, and the edge check stops at the first edge that does not close.
     """
     a = require_square(theta)
     d = a.shape[0]
     rows, cols = np.nonzero(a)
-    edges = list(zip(rows.tolist(), (cols + d).tolist(), np.angle(a[rows, cols]).tolist()))
+    phases = np.angle(a[rows, cols])
+    two_pi = 2.0 * np.pi
+    if len(phases) == d * d:
+        p = phases.reshape(d, d)
+        chi = p[:, 0] - p[0, 0]
+        chi[0] = 0.0
+        gap = (chi[:, None] + p[0]) - p
+        turns = np.rint(gap / two_pi)
+        rank = 2 * d - 1
+        if np.abs(gap - two_pi * turns).max() > PHASE_TOL:
+            return PhaseSystemReport(False, d * d, rank, rank + 1)
+        # a gap of no whole turn is its own remainder, so only a turn makes
+        # some |gap| exceed PHASE_TOL here
+        return PhaseSystemReport(True, d * d, rank, rank, chi=chi.tolist(), psi=p[0].tolist(),
+                                 used_shift_enumeration=bool(turns.any()))
+
+    edges = list(zip(rows.tolist(), (cols + d).tolist(), phases.tolist()))
     adj = [[] for _ in range(2 * d)]
     for i, j, p in edges:
         adj[i].append((j, p))
@@ -597,7 +619,6 @@ def phase_system_solvable(theta) -> PhaseSystemReport:
                     queue.append(v)
 
     rank = vertices - components
-    two_pi = 2.0 * np.pi
     shifted = False
     for i, j, p in edges:
         gap = (value[i] + value[j]) - p

@@ -127,3 +127,29 @@ def test_main_warns_about_each_side_before_the_pairs(tmp_path, monkeypatch, caps
                                "src/grothq/edited.py, src/grothq/fresh.py;")
     assert lines[1].startswith("w: 1 pairs")
     assert not any("change has" in line for line in lines)
+
+
+def test_main_prints_every_pair_under_each_metric_summary(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        (root / "src" / "grothq").mkdir(parents=True)
+    metrics = [{"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+               {"name": "item_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25}]
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "w"}], "end_to_end": metrics}))
+
+    def run_once(checkout, workload, seed, seconds):
+        rate = 100.0 * seed + (5.0 if checkout == change else 0.0)
+        return {"attempted": 1, "failed": 0,
+                "metrics": {"items_per_s": {"value": rate}, "item_ms_p50": {"value": 1e3 / rate}}}
+
+    monkeypatch.setattr(ab_bench, "run_once", run_once)
+    ab_bench.main([str(parent), str(change), "--seeds", "3,7"])
+    lines = capsys.readouterr().out.splitlines()
+    rate = next(i for i, line in enumerate(lines) if line.startswith("  items_per_s ("))
+    assert lines[rate + 1:rate + 3] == ["    seed 3: parent 300, change 305",
+                                        "    seed 7: parent 700, change 705"]
+    ms = next(i for i, line in enumerate(lines) if line.startswith("  item_ms_p50 ("))
+    assert ms == rate + 3
+    assert lines[ms + 1:] == ["    seed 3: parent 3.33333, change 3.27869",
+                              "    seed 7: parent 1.42857, change 1.41844"]

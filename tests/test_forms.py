@@ -3,11 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from grothq import (
     InputValidationError,
     K_G_UPPER,
     OptimizerConfig,
+    PhaseSystemReport,
     PolydiscTuple,
     VectorTuple,
     build_family,
@@ -657,6 +660,92 @@ def test_phase_system_reads_the_same_phases_after_pow2_normalize():
     report = phase_system_solvable(theta)
     assert report.chi == [0.0, np.pi] and report.psi == [-np.pi, 0.0]
     assert phase_system_solvable(pow2_normalize(theta)[0]).to_dict() == report.to_dict()
+
+
+def _bfs_phase_split(theta):
+    """``phase_system_solvable(theta).to_dict()`` by the scalar BFS run on
+    every support, dense ones included: the reference the dense path must
+    match bit for bit."""
+    a = np.asarray(theta, dtype=complex)
+    d = a.shape[0]
+    rows, cols = np.nonzero(a)
+    edges = list(zip(rows.tolist(), (cols + d).tolist(), np.angle(a[rows, cols]).tolist()))
+    adj = [[] for _ in range(2 * d)]
+    for i, j, p in edges:
+        adj[i].append((j, p))
+        adj[j].append((i, p))
+
+    value = [None] * (2 * d)
+    vertices = left = sum(map(bool, adj))   # non-isolated; left: those without a value
+    components = 0
+    for root in range(2 * d):
+        if not left:
+            break
+        if value[root] is not None or not adj[root]:
+            continue
+        components += 1
+        value[root] = 0.0
+        left -= 1
+        queue = [root]
+        for u in queue:               # the queue grows while it is walked
+            if not left:
+                break
+            x = value[u]
+            for v, p in adj[u]:
+                if value[v] is None:
+                    value[v] = p - x
+                    left -= 1
+                    queue.append(v)
+
+    rank = vertices - components
+    two_pi = 2.0 * np.pi
+    shifted = False
+    for i, j, p in edges:
+        gap = (value[i] + value[j]) - p
+        if abs(gap - two_pi * round(gap / two_pi)) > forms.PHASE_TOL:
+            return PhaseSystemReport(False, len(edges), rank, rank + 1).to_dict()
+        shifted = shifted or abs(gap) > forms.PHASE_TOL
+    forest = [0.0 if x is None else x for x in value]
+    return PhaseSystemReport(True, len(edges), rank, rank, chi=forest[:d], psi=forest[d:],
+                             used_shift_enumeration=shifted).to_dict()
+
+
+_angles = st.floats(-np.pi, np.pi)
+
+
+@st.composite
+def _dense_phase_inputs(draw):
+    """d = 1..8 without a zero entry: complex Gaussians; split phases
+    chi_i + psi_j, whose sums pass +-pi; the same within a few PHASE_TOL of
+    splitting; or real entries whose zero imaginary parts carry either sign
+    (argument -pi for a negative entry with -0.0).  Half of them get one zero
+    entry, which sends them to the BFS."""
+    d = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["gaussian", "split", "near_split", "signed_zeros"]))
+    moduli = draw(arrays(float, (d, d), elements=st.floats(1e-3, 10.0)))
+    if kind == "gaussian":
+        theta = complex_gaussian(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), d)
+    elif kind == "signed_zeros":
+        theta = np.where(draw(arrays(bool, (d, d))), -moduli, moduli).astype(complex)
+        theta.imag = np.where(draw(arrays(bool, (d, d))), -0.0, 0.0)
+    else:
+        phases = np.add.outer(draw(arrays(float, d, elements=_angles)),
+                              draw(arrays(float, d, elements=_angles)))
+        if kind == "near_split":
+            tol = 3 * forms.PHASE_TOL
+            phases += draw(arrays(float, (d, d), elements=st.floats(-tol, tol)))
+        theta = moduli * np.exp(1j * phases)
+    if draw(st.booleans()):
+        theta[draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))] = 0.0
+    return theta
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_dense_phase_inputs())
+def test_phase_system_matches_the_bfs_bit_for_bit(theta):
+    report, reference = phase_system_solvable(theta).to_dict(), _bfs_phase_split(theta)
+    assert report == reference
+    assert repr(report) == repr(reference)          # signed zeros as well
 
 
 # --- vector-form maximization ---

@@ -724,7 +724,7 @@ def test_phase_report_of_a_dense_rank_one_support():
 
 
 def test_phase_report_of_a_dense_unsolvable_matrix():
-    # the check stops at the first non-tree edge that does not close
+    # a dense support: one pass checks every edge
     rng = np.random.default_rng(8)
     theta = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     assert not phase_system_solvable(theta).solvable

@@ -19,8 +19,10 @@ wins at least nine tenths of the pairs, and its median is better than the
 parent's by more than the distance between the parent's quartiles.  A
 metric whose run-to-run spread is wider than its bound is printed as
 unresolved in place of the bound check, unless every change run beats every
-parent run.  It also prints the items attempted and failed on each side.  It
-reads the benchmark and changes nothing in either checkout.
+parent run.  Under each metric's summary it prints every pair's seed and
+the parent's and the change's values.  It also prints the items attempted
+and failed on each side.  It reads the benchmark and changes nothing in
+either checkout.
 
 Before the pairs it warns about each side whose ``src/grothq`` modules lack
 current bytecode.  Where bytecode is not written (PYTHONDONTWRITEBYTECODE),
@@ -150,9 +152,9 @@ def main(argv=None):
                   f"{sum(r['failed'] for r in results)} failed")
         for metric in metrics:
             name = metric["name"]
-            s = summarize([r["metrics"][name]["value"] for r in runs["parent"]],
-                          [r["metrics"][name]["value"] for r in runs["change"]],
-                          metric["better"], metric["bound"])
+            parent, change = ([r["metrics"][name]["value"] for r in runs[side]]
+                              for side in ("parent", "change"))
+            s = summarize(parent, change, metric["better"], metric["bound"])
             par, chg = s["parent"], s["change"]
             check = (f"unresolved: spread {s['spread']:.3g} > bound {metric['bound']:g}"
                      if s["unresolved"] else
@@ -163,6 +165,8 @@ def main(argv=None):
                   f"change wins {s['wins']} of {s['pairs']} ({s['ties']} ties); "
                   f"{check}; "
                   f"gain: {'yes' if s['gain'] else 'no'}")
+            for seed, p, c in zip(args.seeds, parent, change):
+                print(f"    seed {seed}: parent {p:.6g}, change {c:.6g}")
 
 
 if __name__ == "__main__":
