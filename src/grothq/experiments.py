@@ -102,9 +102,6 @@ def _run_projector_experiment(name: str, d: int, lam: float) -> ExperimentRecord
             f"trace evaluation {q_trace} disagrees with closed form {q_closed}")
     # g(Pi) lies in [witness_value, d_big], and g'(Pi) = d_big since s_max(Pi) = 1
     in_g_prime, in_g = unit_set_verdicts(witness_value * lam, dim_big * lam, dim_big * lam)
-    rho_rank = d
-    purity = 1.0 / rho_rank
-    entropy = math.log(rho_rank)
     return ExperimentRecord(
         name=name,
         parameters={"lambda": lam, "dim": d, "dim_big": dim_big},
@@ -112,8 +109,6 @@ def _run_projector_experiment(name: str, d: int, lam: float) -> ExperimentRecord
         region=kg_region_check(q_closed),
         diagnostics={
             "trace_value": q_trace,
-            "purity": purity,
-            "entropy": entropy,
             "theta_in_G_prime": in_g_prime,
             "theta_in_G": in_g,
             "lambda_max_in_G_prime": 1.0 / dim_big,

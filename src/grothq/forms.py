@@ -256,8 +256,10 @@ class OptimizerRun:
     ``g_lower`` a start is its two columns: its value is the better of
     theirs, it has used the most rounds of either, and it has settled when
     both have.  ``stop_reason``: "tolerance" (every start settled), "budget"
-    (the cap cut at least one) or "zero_matrix".  ``best_witness``: the pair
-    (s, t) that attains ``best_value``, two ``PolydiscTuple``s from
+    (the cap cut at least one) or "zero_matrix".  ``best_value``: the
+    largest of ``per_start_values``, read from the block, unless the
+    phase-split witness of ``g_lower`` beats every start.  ``best_witness``:
+    the pair (s, t) that attains it, two ``PolydiscTuple``s from
     ``g_lower`` and two ``VectorTuple``s from ``max_q_lower``, each checked
     to lie in its set when it was made; for the zero matrix, all-ones
     tuples from ``g_lower`` and all-zero rows from ``max_q_lower``.
@@ -324,19 +326,6 @@ def _finish(cfg, n, best_b, witness, k, q, used, cut) -> OptimizerRun:
     )
 
 
-def _unit_scalars(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the phases z / |z| of a complex array into ``out``, which keeps
-    its value where z = 0, and return the moduli |z|.  Complex division by a
-    subnormal modulus overflows, so when any modulus is below ``_SMALL`` the
-    entries go through ``_unit_vectors`` as vectors of dimension 1, which
-    scales them first."""
-    norms = np.abs(z)
-    if np.minimum.reduce(norms.ravel()) >= _SMALL:
-        np.divide(z, norms, out=out)
-        return norms
-    return _unit_vectors(z[..., None], out[..., None])
-
-
 def _unit_vectors(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the complex vectors on the last axis of ``z`` over their norms
     into ``out``, which keeps its value where a vector is 0, and return the
@@ -379,8 +368,8 @@ def _alternate(b, xy, cap, threshold):
     its norms, the next value and the gain.  The block narrows only in a
     round where a start settles, never for speed alone: zgemm can round a
     column's product differently at another block width.  Where a norm is
-    below ``_SMALL``, the half-step goes through ``_unit_scalars`` or
-    ``_unit_vectors`` instead, which scale first.
+    below ``_SMALL``, the half-step goes through ``_unit_vectors`` instead,
+    which scales first; scalars pass as vectors of dimension 1.
 
     Each round's two underflow tests and its settle test read the one element
     that ``argmin`` finds in the norms or the gains, which is cheaper than a
@@ -390,7 +379,6 @@ def _alternate(b, xy, cap, threshold):
     inside the loop.
     """
     vectors = xy.ndim == 4
-    unit = _unit_vectors if vectors else _unit_scalars
     xy = np.ascontiguousarray(xy)                    # so that the views below are views
     d, m = b.shape[0], xy.shape[2]
     b_h = b.conj().T
@@ -412,15 +400,16 @@ def _alternate(b, xy, cap, threshold):
                      (b, y.reshape(d, -1), x, x.view(float)))
         else:
             # the moduli are the real parts of a complex array, so that the
-            # complex divide z / (|z| + 0i) runs without casting them
+            # complex divide z / (|z| + 0i) runs without casting them; the
+            # careful step takes the scalars as vectors of dimension 1
             den = np.zeros((d, width), dtype=complex)
             num, norms = z, den.real
-            steps = ((b_h, x, y, y), (b, y, x, x))
+            steps = ((b_h, x, y[..., None], y), (b, y, x[..., None], x))
         flat = norms.reshape(-1)                     # a view, strided for scalars
         while rounds < cap:
             rounds += 1
             for a, src, dst, dst_num in steps:
-                np.matmul(a, src, out=z)
+                np.dot(a, src, out=z)
                 if vectors:
                     np.vecdot(zr, zr, out=norms)
                     np.sqrt(norms, out=norms)
@@ -429,7 +418,7 @@ def _alternate(b, xy, cap, threshold):
                 if flat[flat.argmin()] >= _SMALL:
                     np.divide(num, den, out=dst_num)
                 else:
-                    norms[...] = unit(z.reshape(dst.shape), dst)
+                    norms[...] = _unit_vectors(z.reshape(dst.shape), dst)
             np.add.reduce(norms, axis=0, out=q_next)
             np.subtract(q_next, q, out=gain)
             q, q_next = q_next, q
@@ -453,10 +442,14 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
     a complex (2, d, 2 * starts) block (its phases and their conjugates, each
     taken as s) on theta scaled by ``pow2_normalize``; a column stops once a
     round changes F by less than ``_SETTLE_GAIN``, or after
-    d * ``max_iterations`` rounds.  When the phases of theta split as
-    chi_i + psi_j (``phase_system_solvable``), t = exp(-i psi) attains
-    ||theta||_1 and is the witness unless a column beats it.  The result is
-    a deterministic function of (matrix, config).
+    d * ``max_iterations`` rounds.  The best column's last half-step gives
+    the result as it stands: x = unit(theta y) and F = sum_i |(theta y)_i|,
+    so the witness is s = conj(x), t = y and the value is F.  When the
+    phases of theta split as chi_i + psi_j (``phase_system_solvable``),
+    s = exp(-i chi), t = exp(-i psi) attains ||theta||_1 (s_i makes
+    s_i (theta t)_i real and positive; an isolated row has chi_i = 0) and
+    is the witness when it sums higher than every column.  The result is a
+    deterministic function of (matrix, config).
     """
     cfg = config or OptimizerConfig()
     a = require_square(theta)
@@ -474,18 +467,17 @@ def g_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:
     xy[0] = np.hstack([seeded.conj(), seeded])
     xy, q, used, cut = _alternate(b, xy, d * cfg.max_iterations, _SETTLE_GAIN)
 
-    t_best = xy[1, :, int(q.argmax())]               # deterministic tie-break on column index
+    best = int(q.argmax())                           # deterministic tie-break on column index
+    value, s_best, t_best = q[best], xy[0, :, best].conj(), xy[1, :, best]
     split = phase_system_solvable(b)
     if split.solvable:
         # the forest phases attain ||theta||_1; weakly coupled rows converge slowly
         t_split = np.exp(-1j * np.asarray(split.psi))
-        if np.abs(b @ t_split).sum() > np.abs(b @ t_best).sum():
-            t_best = t_split
-    r_best = b @ t_best
-    s_best = np.ones(d, dtype=complex)
-    _unit_scalars(r_best.conj(), s_best)
+        split_value = np.abs(b @ t_split).sum()
+        if split_value > value:
+            value, s_best, t_best = split_value, np.exp(-1j * np.asarray(split.chi)), t_split
     witness = (PolydiscTuple(s_best), PolydiscTuple(t_best))
-    return _finish(cfg, n, np.abs(r_best).sum(), witness, k, q, used, cut)
+    return _finish(cfg, n, value, witness, k, q, used, cut)
 
 
 def max_q_lower(theta, config: Optional[OptimizerConfig] = None) -> OptimizerRun:

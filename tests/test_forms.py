@@ -408,9 +408,10 @@ def test_max_q_lower_hands_the_kernel_one_complex_block(monkeypatch):
 
 
 def test_unit_scalars_share_the_vector_underflow_path():
+    # scalars are vectors of dimension 1, as the kernel's careful half-step passes them
     z = np.array([3 + 4j, 5e-324 * (1 + 1j), 0])
     out = np.full(3, 2.0 + 0j)
-    norms = forms._unit_scalars(z, out)
+    norms = forms._unit_vectors(z[..., None], out[..., None])
     np.testing.assert_array_equal(norms, np.abs(z))
     np.testing.assert_allclose(out[:2], [0.6 + 0.8j, (1 + 1j) / np.sqrt(2)], rtol=1e-15)
     assert out[2] == 2.0
@@ -427,9 +428,9 @@ def test_unit_vectors_scale_vectors_whose_squares_underflow():
 
 
 def test_unit_steps_keep_out_where_every_entry_is_zero():
-    for unit, shape in ((forms._unit_scalars, (3, 2)), (forms._unit_vectors, (3, 2, 2))):
+    for shape in ((3, 2, 1), (3, 2, 2)):
         out = np.full(shape, 2.0 + 0j)
-        norms = unit(np.zeros(shape, dtype=complex), out)
+        norms = forms._unit_vectors(np.zeros(shape, dtype=complex), out)
         np.testing.assert_array_equal(norms, np.zeros(shape[:2]))
         np.testing.assert_array_equal(out, np.full(shape, 2.0))
 
@@ -476,13 +477,12 @@ def test_the_settle_decision_sees_every_column():
 
 def test_the_kernel_keeps_its_fast_unit_step_without_tiny_norms(monkeypatch):
     # every norm of a Gaussian's products is far above _SMALL, so each
-    # half-step divides in place, without the careful unit steps
+    # half-step divides in place, without the careful unit step
     b, scalars, blocks = kernel_blocks(complex_gaussian(np.random.default_rng(2), 6), SMALL)
     calls = []
-    for name in ("_unit_scalars", "_unit_vectors"):
-        step = getattr(forms, name)
-        monkeypatch.setattr(forms, name,
-                            lambda z, out, name=name, step=step: calls.append(name) or step(z, out))
+    step = forms._unit_vectors
+    monkeypatch.setattr(forms, "_unit_vectors",
+                        lambda z, out: calls.append(z.shape) or step(z, out))
     for xy in (scalars, blocks):
         forms._alternate(b, xy, SMALL.max_iterations, forms._SETTLE_GAIN)
     assert calls == []

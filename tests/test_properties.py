@@ -252,6 +252,26 @@ def test_g_lower_matches_a_per_column_phase_alternation(theta, cfg, data):
     assert len(run.per_start_values) == len(reference)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(matrices(), configs, st.data())
+def test_best_value_is_the_best_start_unless_the_phase_split_beats_it(theta, cfg, data):
+    # both optimizers read the best start's value from the kernel's block, so
+    # it is the largest per-start value to the bit; only g_lower's phase-split
+    # witness, when the phases split, may lie above every start
+    d = theta.shape[0]
+    lines = st.lists(st.integers(0, d - 1), max_size=d - 1)
+    theta[data.draw(lines), :] = 0
+    theta[:, data.draw(lines)] = 0
+    theta[data.draw(lines), :] *= 1e-160
+    run = max_q_lower(theta, cfg)
+    assert run.best_value == max(run.per_start_values)
+    run = g_lower(theta, cfg)
+    if phase_system_solvable(theta).solvable:
+        assert run.best_value >= max(run.per_start_values)
+    else:
+        assert run.best_value == max(run.per_start_values)
+
+
 @pytest.mark.parametrize("d", range(3, 7))
 @pytest.mark.parametrize("axis", [0, 1])
 def test_a_zero_last_line_takes_the_careful_unit_step(d, axis):
