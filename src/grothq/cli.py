@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = ex.add_parser("h12", parents=[lam], help="12-dim projector trace value q = 12 lambda")
     q.set_defaults(func=cmd_h12)
     q = ex.add_parser("g6", parents=[seed, starts],
-                      help="two-route certification of the 6-dim supremum")
+                      help="check g_lower against the exact 6-dim torus witness")
     q.set_defaults(func=cmd_g6)
     q = ex.add_parser("bounded", parents=[seed, dim, samples],
                       help="density/unitary trace values stay within 1")

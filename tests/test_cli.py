@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import itertools
 import json
 import re
@@ -11,8 +12,8 @@ import pytest
 
 import grothq
 from grothq import (OptimizerConfig, build_family, build_projector, classify, cli,
-                    eigenvalue_multiplicities, hermitian_eig, linalg, matrix_to_dict,
-                    fourier_matrix, normalization_factor, save_matrix, states)
+                    eigenvalue_multiplicities, experiments, hermitian_eig, linalg,
+                    matrix_to_dict, fourier_matrix, normalization_factor, save_matrix, states)
 from grothq.cli import dispatch
 from grothq.linalg import InputValidationError
 from grothq.matrix_io import load_matrix
@@ -380,7 +381,7 @@ def test_experiment_h6(capsys):
 
 
 def test_experiment_g6_two_starts_seed_10(capsys):
-    # route 2 must not stop at the critical value 5.6667 near this seed's random start
+    # g_lower from two starts at seed 10 must reach the torus witness value
     code, out = run_cli(capsys, ["experiment", "g6", "--starts", "2", "--seed", "10"])
     assert code == 0
     assert json.loads(out)["agrees"]
@@ -390,6 +391,21 @@ def test_experiment_g6_one_start_exits_0(capsys):
     code, out = run_cli(capsys, ["experiment", "g6", "--starts", "1"])
     assert code == 0
     assert json.loads(out)["agrees"]
+
+
+def test_experiment_g6_exit_3_when_g_lower_misses_the_witness(capsys, monkeypatch):
+    real = experiments.g_lower
+
+    def g_lower_off(theta, config=None):
+        value = 3 + 2 * np.sqrt(2) + 2 * experiments.G6_AGREEMENT_TOL
+        return dataclasses.replace(real(theta, config), best_value=value)
+
+    monkeypatch.setattr(experiments, "g_lower", g_lower_off)
+    code = dispatch(["experiment", "g6", "--starts", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("consistency error: ")
 
 
 def test_experiment_h6_out_of_range_exit_2(capsys):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from grothq import (
     run_h12,
     run_rarity,
 )
-from grothq import forms
-from grothq.experiments import RARITY_ENSEMBLES, _rarity_sample
+from grothq import experiments, forms
+from grothq.experiments import (
+    G6_AGREEMENT_TOL, RARITY_ENSEMBLES, ConsistencyError, _rarity_sample)
 from grothq.forms import G_PRIME_TOL, g_prime
 from grothq.linalg import largest_singular_value
 
@@ -88,12 +90,22 @@ def test_h12_rejects_beyond_certified_boundary():
         run_h12((1 / 12) * 1.001)
 
 
+@pytest.mark.parametrize("run, lam", [(run_h6, 0.1), (run_h12, 0.05)])
+def test_projector_experiment_raises_when_the_trace_leaves_the_closed_form(
+        monkeypatch, run, lam):
+    real = experiments.eval_Q_trace
+    monkeypatch.setattr(experiments, "eval_Q_trace",
+                        lambda *args: real(*args) * (1 + 1e-8))
+    with pytest.raises(ConsistencyError, match="disagrees with closed form"):
+        run(lam)
+
+
 def test_h12_diagnostics():
     rec = run_h12(0.05)
     assert rec.diagnostics["g_witness_value"] == pytest.approx(12.0, abs=1e-12)
 
 
-# --- two-route certification of the 6-dim supremum ---
+# --- g_lower against the exact torus witness of Pi_6 ---
 
 def test_certify_g6_routes_agree():
     cert = certify_g6(starts=24, seed=0)
@@ -124,12 +136,30 @@ def test_certify_g6_two_starts_agree_on_every_seed():
 
 
 def test_certify_g6_one_start_agrees_on_every_seed():
-    # route 2 never starts at all-ones, a fixed point of the phase ascent at 10 / 2 = 5
+    # g_lower reaches the witness value from one seeded start on every seed
     for seed in range(200):
         cert = certify_g6(1, seed)
         assert cert.agrees
         assert cert.specialized_value == pytest.approx(3 + 2 * np.sqrt(2), abs=1e-12)
         assert cert.allones_norm_sq == pytest.approx(10.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("offset, raises", [(-2 * G6_AGREEMENT_TOL, True),
+                                            (2 * G6_AGREEMENT_TOL, True),
+                                            (-G6_AGREEMENT_TOL / 2, False),
+                                            (G6_AGREEMENT_TOL / 2, False)])
+def test_certify_g6_checks_g_lower_against_the_witness(monkeypatch, offset, raises):
+    value = 3 + 2 * np.sqrt(2) + offset
+    real = experiments.g_lower
+    monkeypatch.setattr(experiments, "g_lower",
+                        lambda theta, config=None: replace(real(theta, config),
+                                                           best_value=value))
+    if raises:
+        with pytest.raises(ConsistencyError, match="disagrees with the torus witness"):
+            certify_g6(2, 0)
+    else:
+        cert = certify_g6(2, 0)
+        assert cert.agrees and cert.general_value == value
 
 
 def test_certify_g6_checks_its_config():
@@ -174,6 +204,29 @@ def test_bounded_demo_weyl_for_odd_dim():
     rec = run_bounded_demo(5, 50, seed=1)
     assert rec.diagnostics["weyl_max"] is not None
     assert rec.diagnostics["weyl_max"] <= 1.0 + 1e-12
+
+
+# (1 + 1e-9) I is no unitary: its trace against a density is 1 + 1e-9
+@pytest.mark.parametrize("scale, raises", [(1.0, False), (1 + 1e-9, True)])
+def test_bounded_demo_checks_the_sampled_trace(monkeypatch, scale, raises):
+    monkeypatch.setattr(experiments, "random_unitary", lambda rng, d: scale * np.eye(d))
+    if raises:
+        with pytest.raises(ConsistencyError, match=r"\|Tr\(rho U\)\| = .* exceeded 1"):
+            run_bounded_demo(4, 3, seed=0)
+    else:
+        assert run_bounded_demo(4, 3, seed=0).q_value == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale, raises", [(1.0, False), (1 + 1e-9, True)])
+def test_bounded_demo_checks_the_weyl_grid(monkeypatch, scale, raises):
+    monkeypatch.setattr(experiments, "displacement_operator",
+                        lambda d, a, b: scale * np.eye(d))
+    if raises:
+        with pytest.raises(ConsistencyError, match="displacement trace .* exceeded 1"):
+            run_bounded_demo(3, 3, seed=0)
+    else:
+        weyl_max = run_bounded_demo(3, 3, seed=0).diagnostics["weyl_max"]
+        assert weyl_max == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bounded_demo_rejects_bad_input():

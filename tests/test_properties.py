@@ -2,7 +2,6 @@
 the unit-set verdicts and the LAPACK-backed linear algebra."""
 
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,9 +27,7 @@ from grothq import (
     phase_system_solvable,
     row_norms,
 )
-from grothq import experiments
 from grothq.ensembles import complex_gaussian
-from grothq.experiments import _h6_norm_sq, _h6_phase_ascent
 from grothq.forms import (
     G_PRIME_TOL, PHASE_TOL, _SETTLE_GAIN, _witness_dual, classify, closed_form_bounds,
     g_prime, unit_set_verdicts)
@@ -759,28 +756,6 @@ def test_phase_report_counts_a_last_component_after_isolated_vertices():
     report = phase_system_solvable(theta)
     assert report.solvable and report.rank_coefficient == 3
     assert_phase_report_matches_reference(theta)
-
-
-# points of the closed unit polydisc in C^6, a few per example
-polydisc_points = st.integers(1, 4).flatmap(lambda k: arrays(
-    complex, (k, 6), elements=st.complex_numbers(
-        max_magnitude=1.0, allow_nan=False, allow_infinity=False)))
-
-
-@PROPERTY
-@given(polydisc_points)
-def test_h6_phase_ascent_step_never_lowers_f(t):
-    before = _h6_norm_sq(t)
-    with mock.patch.object(experiments, "_H6_MAX_ROUNDS", 1):
-        _, after = _h6_phase_ascent(t)
-    assert np.all(after >= before * (1 - 1e-12))
-
-
-@PROPERTY
-@given(polydisc_points)
-def test_h6_phase_ascent_stays_below_max_f(t):
-    _, values = _h6_phase_ascent(t)
-    assert values.max() <= 2 * (3 + 2 * np.sqrt(2)) * (1 + 1e-12)
 
 
 # --- unit-set verdicts ---

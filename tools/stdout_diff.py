@@ -50,6 +50,7 @@ def script(tmp):
         ["experiment", "h6", "--lambda", "0.1"],
         ["experiment", "h12", "--lambda", "0.05"],
         ["experiment", "g6", "--starts", "16", "--seed", "0"],
+        ["experiment", "g6", "--starts", "1", "--seed", "10"],
         ["experiment", "bounded", "--dim", "3", "--samples", "50", "--seed", "0"],
         *rarity,
     ]
