@@ -292,13 +292,14 @@ def _seeded_starts(seed: int, starts: int, d: int) -> tuple:
     y = r[2] + i r[3] of start s at ``[:, :, s]``, r its standard normal
     (4, d, d) draw.  Both arrays are shared and read-only."""
     # one generator per start, so start s is the same whatever the number of
-    # starts; both draws open its stream, as a fresh default_rng(seed ^ s) does
+    # starts; both draws open its stream, as a fresh default_rng(seed ^ s) does:
+    # each uniform double takes one 64-bit PCG64 output, so advancing the
+    # 2^128-periodic stream by 2^128 - d rewinds it to where the angles began
     angles, r = np.empty((starts, d)), np.empty((4, d, starts, d))
     for s in range(starts):
         rng = np.random.default_rng(seed ^ s)
-        state = rng.bit_generator.state
         angles[s] = rng.uniform(-np.pi, np.pi, d)
-        rng.bit_generator.state = state
+        rng.bit_generator.advance(2**128 - d)
         r[:, :, s] = rng.standard_normal((4, d, d))
     phases = np.exp(1j * angles)
     vectors = r[0::2] + 1j * r[1::2]

@@ -107,7 +107,7 @@ def norm_frobenius(m) -> float:
     return float(pow2_scale(np.linalg.norm(b), k))
 
 
-def pow2_split(a: np.ndarray, axis=None):
+def pow2_split(a: np.ndarray, axis):
     """(a / 2^e, e): each slice of ``a`` along ``axis`` (the whole array when
     None) scaled by the exact power of two that puts its largest modulus in
     [1/2, 1); e is 0 for a zero slice and keeps the reduced axes, so it
@@ -148,7 +148,7 @@ def pow2_scale(x, e):
 def pow2_normalize(a: np.ndarray):
     """(a / 2^k, k) with max |a_ij| / 2^k in [1/2, 1) and k an int, 0 for a
     zero matrix: the whole-array case of ``pow2_split``."""
-    b, e = pow2_split(a)
+    b, e = pow2_split(a, None)
     return b, e.item()
 
 

@@ -29,8 +29,8 @@ from grothq import (
 )
 from grothq.ensembles import complex_gaussian
 from grothq.forms import (
-    G_PRIME_TOL, PHASE_TOL, _SETTLE_GAIN, _witness_dual, classify, closed_form_bounds,
-    g_prime, unit_set_verdicts)
+    G_PRIME_TOL, PHASE_TOL, _SETTLE_GAIN, _seeded_starts, _witness_dual, classify,
+    closed_form_bounds, g_prime, unit_set_verdicts)
 from grothq.linalg import pow2_normalize, pow2_scale, pow2_split
 
 # derandomized so that every run of the suite checks the same examples
@@ -793,3 +793,17 @@ def test_in_g_prime_implies_the_necessary_flags(theta):
     res = classify(theta, OptimizerConfig(starts=1))
     if res.in_G_prime:
         assert all(res.necessary_for_G_prime.values()), res.necessary_for_G_prime
+
+
+@PROPERTY
+@given(st.integers(0, 2**64), st.integers(1, 4), st.integers(1, 8))
+def test_seeded_starts_equal_fresh_draws(seed, starts, d):
+    """Start s's phases and vectors are what two fresh default_rng(seed ^ s)
+    give, although one generator draws both: the rewind between them is exact."""
+    phases, vectors = _seeded_starts.__wrapped__(seed, starts, d)
+    for s in range(starts):
+        angles = np.random.default_rng(seed ^ s).uniform(-np.pi, np.pi, d)
+        r = np.random.default_rng(seed ^ s).standard_normal((4, d, d))
+        assert phases[s].tobytes() == np.exp(1j * angles).tobytes()
+        assert vectors[0, :, s].tobytes() == (r[0] + 1j * r[1]).tobytes()
+        assert vectors[1, :, s].tobytes() == (r[2] + 1j * r[3]).tobytes()
