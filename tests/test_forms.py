@@ -3,14 +3,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from grothq import (
     InputValidationError,
     K_G_UPPER,
     OptimizerConfig,
-    PhaseSystemReport,
     PolydiscTuple,
     VectorTuple,
     build_family,
@@ -39,6 +38,8 @@ from grothq.ensembles import (
     random_unitary,
 )
 from grothq.linalg import pow2_normalize, pow2_scale
+
+from golden import fresh_starts, reference_phase_report
 
 
 def pi(d):
@@ -247,24 +248,9 @@ def test_g_lower_deterministic():
     assert np.array_equal(r1.best_witness[1].values, r2.best_witness[1].values)
 
 
-def _fresh_phases(seed, starts, d):
-    return np.exp(1j * np.array([np.random.default_rng(seed ^ s).uniform(-np.pi, np.pi, d)
-                                 for s in range(starts)]))
-
-
-def _fresh_vectors(seed, starts, d):
-    """max_q_lower's starts as a (2, d, starts, d) block: x = r[0] + i r[1] and
-    y = r[2] + i r[3] of start s at [:, :, s], r from a fresh generator."""
-    block = np.empty((2, d, starts, d), dtype=complex)
-    for s in range(starts):
-        r = np.random.default_rng(seed ^ s).standard_normal((4, d, d))
-        block[0, :, s], block[1, :, s] = r[0] + 1j * r[1], r[2] + 1j * r[3]
-    return block
-
-
 def test_seeded_phases_equal_fresh_per_start_draws():
     for seed, starts, d in ((0, 1, 2), (123, 16, 6), (2**40 + 5, 7, 3)):
-        fresh = _fresh_phases(seed, starts, d)
+        fresh = fresh_starts(seed, starts, d)[0]
         phases = forms._seeded_starts(seed, starts, d)[0]
         assert phases.shape == (starts, d)
         assert phases.tobytes() == fresh.tobytes()
@@ -280,7 +266,7 @@ def test_seeded_vectors_equal_fresh_per_start_draws():
         forms._seeded_starts.cache_clear()
         vectors = forms._seeded_starts(seed, starts, d)[1]
         assert vectors.shape == (2, d, starts, d) and vectors.flags.c_contiguous
-        assert vectors.tobytes() == _fresh_vectors(seed, starts, d).tobytes()
+        assert vectors.tobytes() == fresh_starts(seed, starts, d)[1].tobytes()
 
 
 def test_seeded_phases_are_read_only():
@@ -399,8 +385,7 @@ def test_max_q_lower_hands_the_kernel_one_complex_block(monkeypatch):
     assert np.array_equal(xy[:, :, 0, 0], [s.values.conj(), t.values])
     assert not xy[:, :, 0, 1:].any()
     # start i + 1 is its seeded draw r, x = r[0] + i r[1] and y = r[2] + i r[3], normalized
-    r = np.random.default_rng(cfg.seed ^ 2).standard_normal((4, 5, 5))
-    draw = r[0::2] + 1j * r[1::2]
+    draw = fresh_starts(cfg.seed, cfg.starts, 5)[1][:, :, 2]
     assert np.allclose(xy[:, :, 3], draw / np.linalg.norm(draw, axis=-1, keepdims=True),
                        rtol=0, atol=1e-15)
     x, y = run.best_witness
@@ -662,54 +647,6 @@ def test_phase_system_reads_the_same_phases_after_pow2_normalize():
     assert phase_system_solvable(pow2_normalize(theta)[0]).to_dict() == report.to_dict()
 
 
-def _bfs_phase_split(theta):
-    """``phase_system_solvable(theta).to_dict()`` by the scalar BFS run on
-    every support, dense ones included: the reference the dense path must
-    match bit for bit."""
-    a = np.asarray(theta, dtype=complex)
-    d = a.shape[0]
-    rows, cols = np.nonzero(a)
-    edges = list(zip(rows.tolist(), (cols + d).tolist(), np.angle(a[rows, cols]).tolist()))
-    adj = [[] for _ in range(2 * d)]
-    for i, j, p in edges:
-        adj[i].append((j, p))
-        adj[j].append((i, p))
-
-    value = [None] * (2 * d)
-    vertices = left = sum(map(bool, adj))   # non-isolated; left: those without a value
-    components = 0
-    for root in range(2 * d):
-        if not left:
-            break
-        if value[root] is not None or not adj[root]:
-            continue
-        components += 1
-        value[root] = 0.0
-        left -= 1
-        queue = [root]
-        for u in queue:               # the queue grows while it is walked
-            if not left:
-                break
-            x = value[u]
-            for v, p in adj[u]:
-                if value[v] is None:
-                    value[v] = p - x
-                    left -= 1
-                    queue.append(v)
-
-    rank = vertices - components
-    two_pi = 2.0 * np.pi
-    shifted = False
-    for i, j, p in edges:
-        gap = (value[i] + value[j]) - p
-        if abs(gap - two_pi * round(gap / two_pi)) > forms.PHASE_TOL:
-            return PhaseSystemReport(False, len(edges), rank, rank + 1).to_dict()
-        shifted = shifted or abs(gap) > forms.PHASE_TOL
-    forest = [0.0 if x is None else x for x in value]
-    return PhaseSystemReport(True, len(edges), rank, rank, chi=forest[:d], psi=forest[d:],
-                             used_shift_enumeration=shifted).to_dict()
-
-
 _angles = st.floats(-np.pi, np.pi)
 
 
@@ -742,8 +679,10 @@ def _dense_phase_inputs(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_dense_phase_inputs())
+# dense split phases whose one wrapped gap falls 1e-12 short of a whole turn
+@example(np.exp(1j * np.array([[0.0, 3.0], [3.0, 6.0 - 2 * np.pi + 1e-12]])))
 def test_phase_system_matches_the_bfs_bit_for_bit(theta):
-    report, reference = phase_system_solvable(theta).to_dict(), _bfs_phase_split(theta)
+    report, reference = phase_system_solvable(theta).to_dict(), reference_phase_report(theta)
     assert report == reference
     assert repr(report) == repr(reference)          # signed zeros as well
 

@@ -1,48 +1,17 @@
-"""g_lower never falls below the frozen golden-section values of the corpus.
+"""g_lower never falls below the frozen golden-section values of
+tests/data/g_lower_corpus.json; the harness is tests/corpus.py."""
 
-tests/data/g_lower_corpus.json was written by tests/data/make_g_lower_corpus.py
-with the golden-section coordinate ascent; each entry holds a matrix, the
-OptimizerConfig it was run with and the best value it reached.
-"""
-
-import importlib.util
-import json
-from pathlib import Path
-
-import numpy as np
 import pytest
 
-from grothq import OptimizerConfig, eval_C, forms, g_lower, matrix_from_dict
-from grothq.ensembles import complex_gaussian
+from corpus import (CORPORA, check_covers, check_generator_refuses_to_overwrite,
+                    check_generator_writes_a_config, frozen_config)
+from grothq import eval_C, g_lower, matrix_from_dict
 
-DATA = Path(__file__).parent / "data"
-CORPUS = json.loads((DATA / "g_lower_corpus.json").read_text())
-ENTRIES = CORPUS["entries"]
-
-
-def frozen_config(entry) -> OptimizerConfig:
-    """The entry's OptimizerConfig.  Each entry also stores the
-    ``phase_tolerance`` its run was made with, a config field then: 1e-3
-    times it was the settle gain, now the kernel's constant
-    ``forms._SETTLE_GAIN``, so the frozen values pin that constant."""
-    config = dict(entry["config"])
-    assert 1e-3 * config.pop("phase_tolerance") == forms._SETTLE_GAIN
-    return OptimizerConfig(**config)
-
-
-def load_generator():
-    spec = importlib.util.spec_from_file_location("generator", DATA / "make_g_lower_corpus.py")
-    generator = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generator)
-    return generator
+ENTRIES = CORPORA["g_lower"]["entries"]
 
 
 def test_corpus_covers_every_family():
-    families = {e["family"] for e in ENTRIES}
-    assert families == {"complex_gaussian", "random_normal", "pi6", "pi12", "rank_one"}
-    assert {e["matrix"]["rows"] for e in ENTRIES if e["family"] == "complex_gaussian"} \
-        == set(range(2, 9))
-    assert len(ENTRIES) >= 150
+    check_covers(ENTRIES, {"complex_gaussian", "random_normal", "pi6", "pi12", "rank_one"}, 150)
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e["family"])
@@ -55,23 +24,8 @@ def test_g_lower_not_below_frozen_value(entry):
 
 
 def test_generator_refuses_to_overwrite_a_corpus(tmp_path, capsys):
-    generator = load_generator()
-    frozen = tmp_path / "g_lower_corpus.json"
-    frozen.write_text('{"entries": []}')
-    generator.OUT = frozen
-    assert generator.main() == 1
-    assert str(frozen) in capsys.readouterr().err
-    assert frozen.read_text() == '{"entries": []}'
+    check_generator_refuses_to_overwrite("g_lower", tmp_path, capsys)
 
 
 def test_generator_writes_entries_that_build_a_config(tmp_path, monkeypatch):
-    generator = load_generator()
-    out = tmp_path / "g_lower_corpus.json"
-    cfg = OptimizerConfig(starts=2, seed=1, max_iterations=20)
-    theta = complex_gaussian(np.random.default_rng(0), 3)
-    monkeypatch.setattr(generator, "OUT", out)
-    monkeypatch.setattr(generator, "cases", lambda: iter([("complex_gaussian", theta, cfg)]))
-    assert generator.main() == 0
-    (entry,) = json.loads(out.read_text())["entries"]
-    assert OptimizerConfig(**entry["config"]) == cfg
-    assert entry["best_value"] == g_lower(theta, cfg).best_value
+    check_generator_writes_a_config("g_lower", g_lower, tmp_path, monkeypatch)

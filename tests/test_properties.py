@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 
 from grothq import (
     OptimizerConfig,
-    PhaseSystemReport,
     PolydiscTuple,
     eval_C,
     eval_Q_trace,
@@ -29,9 +28,11 @@ from grothq import (
 )
 from grothq.ensembles import complex_gaussian
 from grothq.forms import (
-    G_PRIME_TOL, PHASE_TOL, _SETTLE_GAIN, _seeded_starts, _witness_dual, classify,
+    G_PRIME_TOL, _SETTLE_GAIN, _seeded_starts, _witness_dual, classify,
     closed_form_bounds, g_prime, unit_set_verdicts)
 from grothq.linalg import pow2_normalize, pow2_scale, pow2_split
+
+from golden import fresh_starts, reference_phase_report
 
 # derandomized so that every run of the suite checks the same examples
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -169,9 +170,9 @@ def reference_max_q_values(theta, cfg):
     s, t = g_lower(theta, cfg).best_witness
     e0 = np.eye(d)[0]
     starts = [(np.outer(s.values.conj(), e0), np.outer(t.values, e0))]
+    block = fresh_starts(cfg.seed, cfg.starts, d)[1]
     for k in range(cfg.starts):
-        r = np.random.default_rng(cfg.seed ^ k).standard_normal((4, d, d))
-        x, y = r[0] + 1j * r[1], r[2] + 1j * r[3]
+        x, y = block[:, :, k]
         starts.append((unit_rows(x, x)[0], unit_rows(y, y)[0]))
     values = []
     for x, y in starts:
@@ -220,10 +221,9 @@ def reference_g_values(theta, cfg):
     a start's value is the better of its two columns."""
     b, e = pow2_normalize(theta)
     d = b.shape[0]
-    phases = [np.exp(1j * np.random.default_rng(cfg.seed ^ k).uniform(-np.pi, np.pi, d))
-              for k in range(cfg.starts)]
+    phases = fresh_starts(cfg.seed, cfg.starts, d)[0]
     values = []
-    for x in [p.conj() for p in phases] + phases:
+    for x in [*phases.conj(), *phases]:
         y, q = np.ones(d, dtype=complex), -np.inf
         for _ in range(d * cfg.max_iterations):
             y = unit_phases(b.conj().T @ x, y)[0]
@@ -640,44 +640,6 @@ def test_phase_ranks_match_matrix_rank(theta):
         assert np.linalg.matrix_rank(np.column_stack([coeff, rhs])) == rank + 1
 
 
-def reference_phase_report(theta):
-    """``phase_system_solvable(theta).to_dict()`` from a full BFS and a
-    vectorized edge check: the reference that the scalar implementation must
-    match bit for bit."""
-    a = np.asarray(theta, dtype=complex)
-    d = a.shape[0]
-    rows, cols = np.nonzero(a)
-    phi = np.angle(a[rows, cols])
-    adj = [[] for _ in range(2 * d)]
-    for i, j, p in zip(rows.tolist(), (cols + d).tolist(), phi.tolist()):
-        adj[i].append((j, p))
-        adj[j].append((i, p))
-
-    value = [None] * (2 * d)
-    components = 0
-    for root in range(2 * d):
-        if value[root] is not None or not adj[root]:
-            continue
-        components += 1
-        value[root] = 0.0
-        queue = [root]
-        for u in queue:
-            for v, p in adj[u]:
-                if value[v] is None:
-                    value[v] = p - value[u]
-                    queue.append(v)
-
-    rank = sum(map(bool, adj)) - components
-    forest = np.array([0.0 if x is None else x for x in value])
-    gap = forest[rows] + forest[cols + d] - phi
-    if np.any(np.abs(gap - 2.0 * np.pi * np.round(gap / (2.0 * np.pi))) > PHASE_TOL):
-        return PhaseSystemReport(False, rows.size, rank, rank + 1).to_dict()
-    return PhaseSystemReport(True, rows.size, rank, rank,
-                             chi=forest[:d].tolist(), psi=forest[d:].tolist(),
-                             used_shift_enumeration=bool(np.any(np.abs(gap) > PHASE_TOL))
-                             ).to_dict()
-
-
 def assert_phase_report_matches_reference(theta):
     report, reference = phase_system_solvable(theta).to_dict(), reference_phase_report(theta)
     assert report == reference
@@ -801,9 +763,8 @@ def test_seeded_starts_equal_fresh_draws(seed, starts, d):
     """Start s's phases and vectors are what two fresh default_rng(seed ^ s)
     give, although one generator draws both: the rewind between them is exact."""
     phases, vectors = _seeded_starts.__wrapped__(seed, starts, d)
+    fresh_phases, fresh_vectors = fresh_starts(seed, starts, d)
     for s in range(starts):
-        angles = np.random.default_rng(seed ^ s).uniform(-np.pi, np.pi, d)
-        r = np.random.default_rng(seed ^ s).standard_normal((4, d, d))
-        assert phases[s].tobytes() == np.exp(1j * angles).tobytes()
-        assert vectors[0, :, s].tobytes() == (r[0] + 1j * r[1]).tobytes()
-        assert vectors[1, :, s].tobytes() == (r[2] + 1j * r[3]).tobytes()
+        assert phases[s].tobytes() == fresh_phases[s].tobytes()
+        assert vectors[0, :, s].tobytes() == fresh_vectors[0, :, s].tobytes()
+        assert vectors[1, :, s].tobytes() == fresh_vectors[1, :, s].tobytes()

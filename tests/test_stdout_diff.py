@@ -3,6 +3,12 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from grothq import load_matrix
+
+from golden import reference_phase_report
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "stdout_diff.py"
 spec = importlib.util.spec_from_file_location("stdout_diff", TOOL)
 stdout_diff = importlib.util.module_from_spec(spec)
@@ -39,3 +45,16 @@ def test_main_on_one_checkout_against_itself(monkeypatch, capsys):
                         lambda tmp: [["experiment", "h6", "--lambda", "0.1"]])
     assert stdout_diff.main([str(repo), str(repo)]) == 0
     assert capsys.readouterr().out == "experiment h6 --lambda 0.1: identical\n"
+
+
+def test_the_script_reaches_the_sparse_phase_split(tmp_path):
+    # the saved projectors are dense in float; the sparse matrix, with an
+    # exact zero and two components, keeps the script on the BFS
+    commands = stdout_diff.script(tmp_path)
+    sparse = str(tmp_path / "sparse.json")
+    assert ["phases", "--matrix", sparse] in commands
+    assert ["classify", "--matrix", sparse] in commands
+    theta = load_matrix(sparse)
+    assert (theta == 0).any()
+    vertices = np.count_nonzero(theta.any(axis=1)) + np.count_nonzero(theta.any(axis=0))
+    assert vertices - reference_phase_report(theta)["rank_coefficient"] >= 2

@@ -9,7 +9,9 @@ CLI commands (``script``) runs as ``python -m grothq.cli`` with each
 checkout's ``src`` on PYTHONPATH and BLAS on one thread: first the whole
 script on PARENT, then the whole script on CHANGE, both in one temporary
 directory, so that the files they write and the ``"out"`` paths they print
-are the same.  Bytecode is not written, so neither checkout changes.
+are the same.  The script also reads one fixed sparse matrix, which it
+writes there first: the saved projectors are dense in float, so only that
+matrix reaches the phase split's BFS.  Bytecode is not written, so neither checkout changes.
 
 Each line of a command's stdout is one JSON document; the two sides' lines
 are compared pairwise.  For each command it prints "identical", or the
@@ -20,6 +22,7 @@ code.  It exits 1 on any such difference, or on a relative difference above
 ``REL_TOL``, and 0 otherwise.
 """
 
+import cmath
 import json
 import math
 import os
@@ -32,10 +35,29 @@ REL_TOL = 1e-12          # results agree to 1e-12 relative when only rounding mo
 _ONE_THREAD = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def sparse_matrix():
+    """A fixed 6 x 6 matrix in the JSON wire format: split phases
+    chi_i + psi_j on two components, {rows 0-1, columns 0-1} and
+    {rows 2-4, columns 2-4}, each with a cycle; exact zeros elsewhere, so row 5
+    and column 5 are isolated; and the entry -1 - 0j, of argument -pi."""
+    chi = [1.0, 2.2, -0.4, 2.8, -1.9]
+    psi = [math.pi - 1.0, 1.7, 2.6, -2.3, 0.9]       # chi_0 + psi_0 = pi
+    support = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 2)]
+    entries = [[0.0, 0.0] for _ in range(36)]
+    for k, (i, j) in enumerate(support):
+        z = (k + 1) / 4 * cmath.exp(1j * (chi[i] + psi[j]))
+        entries[6 * i + j] = [z.real, z.imag]
+    entries[0] = [-1.0, -0.0]
+    return {"rows": 6, "cols": 6, "entries": entries}
+
+
 def script(tmp):
     """The commands, each an argument list for ``grothq.cli``; the projector
-    files go to ``tmp``."""
+    files go to ``tmp``, and ``sparse_matrix()`` is written there as
+    sparse.json."""
     p3, p4 = str(Path(tmp) / "pi3.json"), str(Path(tmp) / "pi4.json")
+    sparse = Path(tmp) / "sparse.json"
+    sparse.write_text(json.dumps(sparse_matrix()) + "\n")
     rarity = [["experiment", "rarity", "--ensemble", e, "--samples", "200", "--seed", "1",
                "--starts", "16"] for e in ("scaled_projector", "random_normal", "random_general")]
     return [
@@ -45,6 +67,8 @@ def script(tmp):
         ["classify", "--matrix", p4],
         ["gbound", "--matrix", p4],
         ["phases", "--matrix", p4],
+        ["phases", "--matrix", str(sparse)],
+        ["classify", "--matrix", str(sparse)],
         ["norms", "--matrix", p4],
         ["states", "--dim", "4"],
         ["experiment", "h6", "--lambda", "0.1"],
